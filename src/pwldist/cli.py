@@ -66,8 +66,9 @@ def seeded_uniforms(seed: int, n: int) -> np.ndarray:
 class DistributionSpecFile:
     """A parsed spec: the kind, its raw payload, and the built density.
 
-    ``density`` is the canonicalized general form; ``polygonal`` is set
-    when the kind is continuous (polygonal, triangular, tetragonal).
+    ``density`` is the general form, canonical by construction;
+    ``polygonal`` is set when the kind is continuous (polygonal,
+    triangular, tetragonal).
     """
 
     kind: str
@@ -158,7 +159,7 @@ def parse_spec(text: str) -> DistributionSpecFile:
                 p = tetragonal(*corners, heights[0], heights[1])
             else:
                 p = tetragonal_from_weight(*corners, _as_number(doc["w"], "w"))
-        d = density.canonicalize(density.promote(p))
+        d = density.promote(p)
         return DistributionSpecFile(kind, doc, d, polygonal=p)
     except (ParseError, SchemaError):
         raise

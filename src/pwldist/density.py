@@ -22,6 +22,7 @@ and a density is considered normalized when that mass is 1 within
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +61,10 @@ def _check_nonnegative(arr: np.ndarray, name: str) -> None:
 class Grid:
     """Support partition ``c_0 <= c_1 <= ... <= c_{n+1}``.
 
-    Coincident breakpoints are allowed on input; :func:`canonicalize`
-    removes the zero-length pieces they delimit.  After canonicalization
-    the breakpoints are strictly increasing.
+    Coincident breakpoints are allowed here; a
+    :class:`PiecewiseLinearDensity` built on such a grid drops the
+    zero-length pieces they delimit, so its breakpoints are strictly
+    increasing.
     """
 
     breakpoints: np.ndarray
@@ -119,6 +121,13 @@ class PiecewiseLinearDensity:
         Explicit density values at the breakpoints themselves.  When absent,
         evaluation falls back to the ``max{L_i, R_i}`` convention.
 
+    Every instance is canonical: zero-length pieces are dropped at
+    construction, so ``breakpoints`` is strictly increasing.  Empty pieces
+    carry no mass.  At a merged breakpoint the surviving left limit is the
+    leftmost original ``L`` and the surviving right limit the rightmost
+    original ``R`` (the limits of the flanking nonempty pieces); a stored
+    point value survives as the max over the merged group.
+
     Values are immutable after construction; all operations on them are
     pure functions, so instances can be shared freely across threads.
     """
@@ -142,16 +151,46 @@ class PiecewiseLinearDensity:
             )
         _check_nonnegative(rr, "right_limits")
         _check_nonnegative(ll, "left_limits")
-        object.__setattr__(self, "right_limits", rr)
-        object.__setattr__(self, "left_limits", ll)
-        if self.point_values is not None:
-            pv = _frozen_array(self.point_values, "point_values")
+        pv = self.point_values
+        if pv is not None:
+            pv = _frozen_array(pv, "point_values")
             if pv.size != npieces + 1:
                 raise LengthMismatchError(
                     f"point_values has {pv.size} entries, expected {npieces + 1}"
                 )
             _check_nonnegative(pv, "point_values")
-            object.__setattr__(self, "point_values", pv)
+        # Canonical form: drop the zero-length pieces (see the class docstring).
+        keep = self.grid.widths > 0.0
+        if not np.all(keep):
+            first_of_group = np.concatenate(([True], keep))
+            object.__setattr__(
+                self, "grid", Grid(self.grid.breakpoints[first_of_group])
+            )
+            rr = _frozen_array(rr[keep], "right_limits")
+            ll = _frozen_array(ll[keep], "left_limits")
+            if pv is not None:
+                pv = _frozen_array(
+                    np.maximum.reduceat(pv, np.flatnonzero(first_of_group)),
+                    "point_values",
+                )
+        object.__setattr__(self, "right_limits", rr)
+        object.__setattr__(self, "left_limits", ll)
+        object.__setattr__(self, "point_values", pv)
+
+    # Derived data, computed on first use and kept for the instance's life;
+    # read them through raw_mass() and evaluate.cdf_table().
+    @cached_property
+    def _mass(self) -> float:
+        return float(
+            np.sum((self.right_limits + self.left_limits) * self.grid.widths) / 2.0
+        )
+
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        masses = (self.right_limits + self.left_limits) * self.grid.widths / 2.0
+        cumulative = np.concatenate(([0.0], np.cumsum(masses)))
+        cumulative.setflags(write=False)
+        return cumulative
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -222,26 +261,24 @@ def validate(
     left_limits,
     point_values=None,
 ) -> PiecewiseLinearDensity:
-    """Build a canonicalized density from raw arrays.
+    """Build a density from raw arrays; zero-length pieces drop out.
 
     Raises the specific :class:`~pwldist.errors.DensityError` subclass
     naming the violated constraint.  The result may be unnormalized; check
     ``is_normalized`` or call :func:`normalize`.
     """
-    d = PiecewiseLinearDensity(
+    return PiecewiseLinearDensity(
         Grid(breakpoints), right_limits, left_limits, point_values
     )
-    return canonicalize(d)
 
 
 def raw_mass(d: PiecewiseLinearDensity) -> float:
     """Integral of the (possibly unnormalized) density over its support.
 
-    Computed as the trapezoid-area sum ``sum (R_i + L_{i+1}) w_i / 2``.
+    Computed once per density as the trapezoid-area sum
+    ``sum (R_i + L_{i+1}) w_i / 2``.
     """
-    return float(
-        np.sum((d.right_limits + d.left_limits) * d.grid.widths) / 2.0
-    )
+    return d._mass
 
 
 def normalize(
@@ -255,7 +292,7 @@ def normalize(
     mass = raw_mass(d)
     if not mass > 0.0:
         raise ZeroMassError("density integrates to zero; nothing to normalize")
-    k = 2.0 / (2.0 * mass)
+    k = 1.0 / mass
     pv = None if d.point_values is None else d.point_values * k
     scaled = PiecewiseLinearDensity(
         d.grid, d.right_limits * k, d.left_limits * k, pv
@@ -270,26 +307,12 @@ def promote(p: PolygonalDensity) -> PiecewiseLinearDensity:
 
 
 def canonicalize(d: PiecewiseLinearDensity) -> PiecewiseLinearDensity:
-    """Drop zero-length pieces so breakpoints are strictly increasing.
+    """Return ``d``: every density is canonical from construction.
 
-    Empty pieces carry no mass.  At a merged breakpoint the surviving left
-    limit is the leftmost original ``L`` and the surviving right limit the
-    rightmost original ``R`` (the limits of the flanking nonempty pieces);
-    a stored point value survives as the max over the merged group.
-    Returns ``d`` itself when the grid is already strictly increasing.
+    :class:`PiecewiseLinearDensity` drops zero-length pieces itself, so the
+    breakpoints of ``d`` are already strictly increasing.
     """
-    c = d.breakpoints
-    keep = d.grid.widths > 0.0
-    if np.all(keep):
-        return d
-    first_of_group = np.concatenate(([True], np.diff(c) > 0.0))
-    new_c = c[first_of_group]
-    pv = d.point_values
-    if pv is not None:
-        pv = np.maximum.reduceat(pv, np.flatnonzero(first_of_group))
-    return PiecewiseLinearDensity(
-        Grid(new_c), d.right_limits[keep], d.left_limits[keep], pv
-    )
+    return d
 
 
 def scale(d: PiecewiseLinearDensity, s: float) -> PiecewiseLinearDensity:
@@ -308,5 +331,5 @@ def require_normalized(d: PiecewiseLinearDensity) -> None:
     if abs(mass - 1.0) > NORMALIZATION_RTOL:
         raise NotNormalizedError(
             f"density has mass {mass!r}; normalize() it first "
-            f"(factor k = {2.0 / (2.0 * mass) if mass > 0 else float('inf')!r})"
+            f"(factor k = {1.0 / mass if mass > 0 else float('inf')!r})"
         )

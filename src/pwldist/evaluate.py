@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Grid, PiecewiseLinearDensity, canonicalize
+from .density import Grid, PiecewiseLinearDensity
 from .errors import OutOfSupportError
 
 POINT_RULES = ("given", "max", "mean")
@@ -75,22 +75,25 @@ def _interp_values(d: PiecewiseLinearDensity, xs: np.ndarray, j: np.ndarray):
     return d.right_limits[j] * (1.0 - t) + d.left_limits[j] * t
 
 
+def _locate(c: np.ndarray, x):
+    """``x`` as a 1-d array, whether it was a scalar, its piece index (no
+    support check), and the index and mask of exact breakpoint hits."""
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    j = np.clip(np.searchsorted(c, xs, side="right") - 1, 0, c.size - 2)
+    pos = np.clip(np.searchsorted(c, xs, side="left"), 0, c.size - 1)
+    return xs, scalar, j, pos, c[pos] == xs
+
+
 def pdf(d: PiecewiseLinearDensity, x, point_rule: str = "given"):
     """Density at ``x``: 0 outside the support, linear interpolation of
     ``(R_j, L_{j+1})`` strictly inside piece ``j``, and the point-value
     convention exactly at breakpoints.  Accepts a scalar or an array.
     """
-    d = canonicalize(d)
     c = d.breakpoints
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-
-    j = np.clip(np.searchsorted(c, xs, side="right") - 1, 0, c.size - 2)
+    xs, scalar, j, pos, at_breakpoint = _locate(c, x)
     vals = _interp_values(d, xs, j)
-
-    pos = np.clip(np.searchsorted(c, xs, side="left"), 0, c.size - 1)
-    at_breakpoint = c[pos] == xs
     pv = breakpoint_values(d, point_rule)
     vals = np.where(at_breakpoint, pv[pos], vals)
 
@@ -100,12 +103,11 @@ def pdf(d: PiecewiseLinearDensity, x, point_rule: str = "given"):
 
 
 def cdf_table(d: PiecewiseLinearDensity) -> CdfTable:
-    """Prefix sums of the per-piece trapezoid masses."""
-    d = canonicalize(d)
-    masses = (d.right_limits + d.left_limits) * d.grid.widths / 2.0
-    cumulative = np.concatenate(([0.0], np.cumsum(masses)))
-    cumulative.setflags(write=False)
-    return CdfTable(cumulative)
+    """Prefix sums of the per-piece trapezoid masses.
+
+    Computed once per density; every call returns the same read-only array.
+    """
+    return CdfTable(d._cumulative)
 
 
 def cdf(d: PiecewiseLinearDensity, x):
@@ -115,21 +117,14 @@ def cdf(d: PiecewiseLinearDensity, x):
     mass plus the partial-piece trapezoid term in between; continuous and
     nondecreasing.  Accepts a scalar or an array.
     """
-    d = canonicalize(d)
     c = d.breakpoints
     table = cdf_table(d).cumulative
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-
-    j = np.clip(np.searchsorted(c, xs, side="right") - 1, 0, c.size - 2)
+    xs, scalar, j, pos, at_breakpoint = _locate(c, x)
     h = xs - c[j]
     partial = h * (d.right_limits[j] + _interp_values(d, xs, j)) / 2.0
     vals = table[j] + partial
 
     # Exactly at a breakpoint, return the table entry itself.
-    pos = np.clip(np.searchsorted(c, xs, side="left"), 0, c.size - 1)
-    at_breakpoint = c[pos] == xs
     vals = np.where(at_breakpoint, table[pos], vals)
 
     vals = np.where(xs <= c[0], 0.0, vals)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .density import Grid, PolygonalDensity
+from .density import NORMALIZATION_RTOL, Grid, PolygonalDensity
 from .errors import (
     BadOrderError,
     BadProbabilityError,
@@ -29,9 +29,6 @@ from .errors import (
     NotNormalizedError,
     ZeroMassError,
 )
-
-_NORMALIZATION_ATOL = 1e-9
-
 
 def _require_order(*values: float) -> None:
     for left, right in zip(values, values[1:]):
@@ -126,7 +123,8 @@ def triangular(a: float, c: float, b: float) -> PolygonalDensity:
     """Normalized triangular density with apex height 2/(b - a).
 
     Degenerate apexes (c = a or c = b) keep the three-point grid; the
-    zero-width piece drops out downstream via canonicalize.
+    zero-width piece drops out when the polygon is promoted to a general
+    density.
     """
     params = TriangularParams(float(a), float(c), float(b))
     height = params.apex_height
@@ -190,7 +188,9 @@ def triangular_stats(params: TriangularParams) -> TriangularStats:
     """
     a, c, b = params.a, params.c, params.b
     mean = (a + b + c) / 3.0
-    variance = (a * a + b * b + c * c - a * b - a * c - b * c) / 18.0
+    # The variance is translation invariant: evaluate it with a moved to 0.
+    cs, bs = c - a, b - a
+    variance = (bs * bs + cs * cs - bs * cs) / 18.0
     t = 2.0 * c - a - b
     sign = int(t > 0.0) - int(t < 0.0)
     median = (a + b) / 2.0 + (
@@ -271,29 +271,25 @@ def tetragonal_stats(params: TetragonalParams) -> TetragonalStats:
     Modes follow the height trichotomy: C > D gives c, C < D gives d, and
     C = D gives both plateau edges.
     """
-    if abs(params.normalization_defect) > _NORMALIZATION_ATOL:
+    if abs(params.normalization_defect) > NORMALIZATION_RTOL:
         raise NotNormalizedError(
             "tetragonal params are not normalized: "
             f"C(d - a) + D(b - c) = {params.normalization_defect + 2.0!r}"
         )
     a, c, d, b = params.a, params.c, params.d, params.b
     big_c, big_d = params.left_height, params.right_height
-    mean = (
-        big_c * (d - a) * (a + c + d) + big_d * (b - c) * (b + c + d)
-    ) / 6.0
-    mu = mean
+    # Mean and variance are translation equivariant: evaluate them with a
+    # moved to 0, then move the mean back.
+    cs, ds, bs = c - a, d - a, b - a
+    mu = (big_c * ds * (cs + ds) + big_d * (bs - cs) * (bs + cs + ds)) / 6.0
+    mean = a + mu
     variance = (
-        big_c
-        * (d - a)
-        * (
-            a * a + c * c + d * d + a * c + a * d + c * d
-            - 4.0 * mu * (a + c + d) + 6.0 * mu * mu
+        big_c * ds * (
+            cs * cs + ds * ds + cs * ds - 4.0 * mu * (cs + ds) + 6.0 * mu * mu
         )
-        + big_d
-        * (b - c)
-        * (
-            b * b + c * c + d * d + b * c + b * d + c * d
-            - 4.0 * mu * (b + c + d) + 6.0 * mu * mu
+        + big_d * (bs - cs) * (
+            bs * bs + cs * cs + ds * ds + bs * cs + bs * ds + cs * ds
+            - 4.0 * mu * (bs + cs + ds) + 6.0 * mu * mu
         )
     ) / 12.0
     median = _tetragonal_median(params)

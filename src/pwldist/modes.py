@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PiecewiseLinearDensity, PolygonalDensity, canonicalize
+from .density import PiecewiseLinearDensity, PolygonalDensity
 from .evaluate import breakpoint_values
 
 CONVENTIONS = (
@@ -90,7 +90,6 @@ def _candidate_values(d: PiecewiseLinearDensity, convention: str):
 
 def f_sup(d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION) -> float:
     """Supremum density value under the given convention."""
-    d = canonicalize(d)
     left_full, right_full, pv, means, use_limits = _candidate_values(d, convention)
     best = 0.0
     if use_limits:
@@ -110,7 +109,6 @@ def mode_set(
     d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION
 ) -> ModeSet:
     """All loci realizing f_sup under the convention, in support order."""
-    d = canonicalize(d)
     left_full, right_full, pv, means, use_limits = _candidate_values(d, convention)
     sup = f_sup(d, convention)
     c = d.breakpoints

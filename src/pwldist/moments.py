@@ -7,6 +7,12 @@ Mean and variance are the trapezoid sums
                                  + L_{i+1} (3 c_{i+1}^2 + 2 c_{i+1} c_i + c_i^2 - 8 mu c_{i+1} - 4 mu c_i + 6 mu^2)] / 12
 
 with the vertex-indexed reductions for the continuous (polygonal) case.
+These sums are translation-equivariant, so they are evaluated on the
+breakpoints shifted by ``c_0`` and ``c_0`` is added back to the mean; in raw
+coordinates far from the origin they cancel catastrophically (Chan, Golub &
+LeVeque 1983).  Mean, variance, and the shape summary are the moments of
+the distribution ``f / mass``, which matters for a mass just inside the
+normalization tolerance; :func:`raw_moment` integrates ``x^m f`` itself.
 Higher raw moments integrate ``x^m f(x)`` exactly piece by piece; each piece
 is translated so its midpoint sits at 0 before integrating, which keeps the
 odd/even split exact and avoids the cancellation the monomial basis suffers
@@ -25,12 +31,11 @@ from .density import (
     Grid,
     PiecewiseLinearDensity,
     PolygonalDensity,
-    canonicalize,
     promote,
     raw_mass,
     require_normalized,
 )
-from .errors import NotNormalizedError, OrderTooLargeError
+from .errors import OrderTooLargeError
 
 MAX_MOMENT_ORDER = 12
 
@@ -47,22 +52,25 @@ class MomentSummary:
     excess: float
 
 
-def mean(d: PiecewiseLinearDensity) -> float:
-    """Expected value, by the exact per-piece trapezoid sum."""
+def _shifted_mean(d: PiecewiseLinearDensity):
+    """``c_0``, the breakpoints shifted by it, and the shifted mean."""
     require_normalized(d)
-    d = canonicalize(d)
-    c = d.breakpoints
+    c0 = d.breakpoints[0]
+    c = d.breakpoints - c0
     lo, hi = c[:-1], c[1:]
     terms = d.right_limits * (2.0 * lo + hi) + d.left_limits * (lo + 2.0 * hi)
-    return float(np.sum((hi - lo) * terms) / 6.0)
+    return c0, c, np.sum((hi - lo) * terms) / 6.0 / raw_mass(d)
+
+
+def mean(d: PiecewiseLinearDensity) -> float:
+    """Expected value, by the exact per-piece trapezoid sum."""
+    c0, _, mu = _shifted_mean(d)
+    return float(c0 + mu)
 
 
 def variance(d: PiecewiseLinearDensity) -> float:
     """Second central moment, by the exact per-piece sum."""
-    require_normalized(d)
-    d = canonicalize(d)
-    mu = mean(d)
-    c = d.breakpoints
+    _, c, mu = _shifted_mean(d)
     lo, hi = c[:-1], c[1:]
     r_term = d.right_limits * (
         hi * hi + 2.0 * hi * lo + 3.0 * lo * lo - 4.0 * mu * hi - 8.0 * mu * lo + 6.0 * mu * mu
@@ -70,49 +78,38 @@ def variance(d: PiecewiseLinearDensity) -> float:
     l_term = d.left_limits * (
         3.0 * hi * hi + 2.0 * hi * lo + lo * lo - 8.0 * mu * hi - 4.0 * mu * lo + 6.0 * mu * mu
     )
-    return float(np.sum((hi - lo) * (r_term + l_term)) / 12.0)
+    return float(np.sum((hi - lo) * (r_term + l_term)) / 12.0 / raw_mass(d))
 
 
-def _interior_vertices(p: PolygonalDensity):
-    c = p.breakpoints
-    if c.size < 3:
-        return None
-    return p.heights[1:-1], c[2:], c[1:-1], c[:-2]
-
-
-def _require_normalized_polygonal(p: PolygonalDensity) -> None:
-    mass = raw_mass(promote(p))
-    if abs(mass - 1.0) > 1e-9:
-        raise NotNormalizedError(
-            f"polygonal density has mass {mass!r}; rescale the heights first"
-        )
+def _shifted_mean_polygonal(p: PolygonalDensity):
+    """``c_0``, the mass, the shifted mean, and the interior vertex
+    triples ``(H_i, c_{i+1}, c_i, c_{i-1})`` shifted by ``c_0``."""
+    d = promote(p)
+    require_normalized(d)
+    c0 = p.breakpoints[0]
+    c = p.breakpoints - c0
+    h, nxt, cur, prv = p.heights[1:-1], c[2:], c[1:-1], c[:-2]
+    mass = raw_mass(d)
+    mu = np.sum(h * (nxt - prv) * (nxt + cur + prv)) / 6.0 / mass
+    return c0, mass, mu, (h, nxt, cur, prv)
 
 
 def mean_polygonal(p: PolygonalDensity) -> float:
     """Expected value via the vertex-indexed reduction of the general sum."""
-    _require_normalized_polygonal(p)
-    parts = _interior_vertices(p)
-    if parts is None:
-        return 0.0
-    h, nxt, cur, prv = parts
-    return float(np.sum(h * (nxt - prv) * (nxt + cur + prv)) / 6.0)
+    c0, _, mu, _ = _shifted_mean_polygonal(p)
+    return float(c0 + mu)
 
 
 def variance_polygonal(p: PolygonalDensity) -> float:
     """Variance via the vertex-indexed reduction of the general sum."""
-    _require_normalized_polygonal(p)
-    parts = _interior_vertices(p)
-    if parts is None:
-        return 0.0
-    h, nxt, cur, prv = parts
-    mu = mean_polygonal(p)
+    _, mass, mu, (h, nxt, cur, prv) = _shifted_mean_polygonal(p)
     poly = (
         nxt * nxt + cur * cur + prv * prv
         + nxt * cur + nxt * prv + cur * prv
         - 4.0 * mu * (nxt + cur + prv)
         + 6.0 * mu * mu
     )
-    return float(np.sum(h * (nxt - prv) * poly) / 12.0)
+    return float(np.sum(h * (nxt - prv) * poly) / 12.0 / mass)
 
 
 def raw_moment(d: PiecewiseLinearDensity, m: int) -> float:
@@ -132,7 +129,6 @@ def raw_moment(d: PiecewiseLinearDensity, m: int) -> float:
         raise OrderTooLargeError(
             f"moment order {m} exceeds the supported maximum {MAX_MOMENT_ORDER}"
         )
-    d = canonicalize(d)
     c = d.breakpoints
     w = d.grid.widths
     mid = (c[:-1] + c[1:]) / 2.0
@@ -158,24 +154,19 @@ def summary(d: PiecewiseLinearDensity) -> MomentSummary:
     of binomial-expansion cancellation noise.  If shifting by the mean
     would round the support away entirely (support width below the ulp of
     the mean), the binomial expansion is used instead.  Skewness and
-    excess are NaN when the variance is zero.
+    excess are NaN when the variance is zero.  Every moment is divided by
+    the mass once, so they are those of the distribution ``f / mass``.
     """
-    require_normalized(d)
-    d = canonicalize(d)
-    mass = raw_mass(d)
     mu = mean(d)
+    mass = raw_mass(d)
     shifted_c = d.breakpoints - mu
     if shifted_c[0] < shifted_c[-1]:
         about_mean = PiecewiseLinearDensity(
             Grid(shifted_c), d.right_limits, d.left_limits
         )
-        c2 = raw_moment(about_mean, 2)
-        c3 = raw_moment(about_mean, 3)
-        c4 = raw_moment(about_mean, 4)
+        c2, c3, c4 = (raw_moment(about_mean, k) / mass for k in (2, 3, 4))
     else:
-        m2 = raw_moment(d, 2)
-        m3 = raw_moment(d, 3)
-        m4 = raw_moment(d, 4)
+        m2, m3, m4 = (raw_moment(d, k) / mass for k in (2, 3, 4))
         c2 = m2 - mu * mu
         c3 = m3 - 3.0 * mu * m2 + 2.0 * mu ** 3
         c4 = m4 - 4.0 * mu * m3 + 6.0 * mu * mu * m2 - 3.0 * mu ** 4

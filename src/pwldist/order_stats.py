@@ -2,10 +2,17 @@
 
 The CDF of a piecewise-linear density is continuous and nondecreasing but
 not necessarily strictly increasing: it is flat across zero-density pieces.
-A probability level therefore has a whole preimage interval.  Its endpoints
-are the infimum and supremum inverses, found by locating the first and last
-piece whose mass bracket crosses the level and solving the per-piece
-quadratic ``F(v) = p`` there.
+A probability level therefore has a whole preimage interval.  One kernel,
+``_inverse_cdf``, finds either end of it for an array of levels: it locates
+the first (lower end) or last (upper end) piece whose cumulative-mass
+bracket holds the level and solves that piece's quadratic ``F(v) = p``.
+Preimages, point quantiles, the median set, and sampling all use it.
+
+The level is first clamped to the total mass, which may fall short of 1 by
+up to ``NORMALIZATION_RTOL``; the search then always ends on a piece of
+positive mass, so no zero-mass piece is ever solved in.  The lower end is
+``c_0`` at ``p = 0``, and the upper end is ``c_{n+1}`` once ``p`` reaches
+the total mass or 1.
 
 Restricted to piece j, with ``h = v - c_j``, ``w`` the piece width, and
 ``q = p - F(c_j)`` the mass still needed,
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PiecewiseLinearDensity, canonicalize, require_normalized
+from .density import PiecewiseLinearDensity, require_normalized
 from .errors import BadProbabilityError
 from .evaluate import cdf, cdf_table
 
@@ -52,57 +59,45 @@ class QuantilePreimage:
     p: float
 
 
-def _solve_piece(right: float, left: float, width: float, q: float) -> float:
-    """Distance into a piece at which it accumulates mass ``q``."""
-    if q <= 0.0:
-        return 0.0
-    alpha = (left - right) / (2.0 * width)
-    beta = right
-    if abs(alpha) <= 1e-14 * abs(beta):
-        h = q / beta
-    else:
-        disc = beta * beta + 4.0 * alpha * q
-        h = 2.0 * q / (beta + np.sqrt(max(disc, 0.0)))
-    return float(min(max(h, 0.0), width))
+def _inverse_cdf(d: PiecewiseLinearDensity, p, side: str) -> np.ndarray:
+    """Lower (infimum) or upper (supremum) end of ``{x : F(x) = p}``.
 
-
-def _crossing(d: PiecewiseLinearDensity, table: np.ndarray, p: float, side: str) -> float:
-    """x at which F first (side 'lower') or last (side 'upper') equals p."""
+    Elementwise over ``p``; ``side`` is ``"lower"`` or ``"upper"``.
+    """
     c = d.breakpoints
-    n_pieces = c.size - 1
-    if side == "lower":
-        if p <= 0.0:
-            return float(c[0])
-        j = int(np.searchsorted(table, p, side="left")) - 1
-    else:
-        if p >= 1.0:
-            return float(c[-1])
-        j = int(np.searchsorted(table, p, side="right")) - 1
-    j = min(max(j, 0), n_pieces - 1)
-    q = p - float(table[j])
-    h = _solve_piece(
-        float(d.right_limits[j]),
-        float(d.left_limits[j]),
-        float(c[j + 1] - c[j]),
-        q,
-    )
-    return float(c[j] + h)
+    table = cdf_table(d).cumulative
+    mass = table[-1]
+    p = np.minimum(np.asarray(p, dtype=float), mass)
+    j = np.searchsorted(table, p, side="left" if side == "lower" else "right")
+    j = np.clip(j - 1, 0, c.size - 2)
+    w = c[j + 1] - c[j]
+    beta = d.right_limits[j]
+    alpha = (d.left_limits[j] - beta) / (2.0 * w)
+    q = p - table[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_lin = q / beta
+        disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
+        h_quad = 2.0 * q / (beta + np.sqrt(disc))
+    h = np.where(np.abs(alpha) <= 1e-14 * np.abs(beta), h_lin, h_quad)
+    h = np.where(q <= 0.0, 0.0, h)
+    x = c[j] + np.clip(h, 0.0, w)
+    if side == "upper":
+        x = np.where(p >= min(mass, 1.0), c[-1], x)
+    return x
 
 
 def quantile_preimage(d: PiecewiseLinearDensity, p: float) -> QuantilePreimage:
     """The full interval ``{x : F(x) = p}``, clipped to the support.
 
-    For ``p = 0`` the lower end is the support infimum; for ``p = 1`` the
-    upper end is the support supremum.
+    For ``p = 0`` the lower end is the support infimum; for ``p = 1``, or
+    ``p`` at or above the total mass, the upper end is the support supremum.
     """
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise BadProbabilityError(f"probability must lie in [0, 1], got {p!r}")
     require_normalized(d)
-    d = canonicalize(d)
-    table = cdf_table(d).cumulative
-    lower = _crossing(d, table, p, "lower")
-    upper = _crossing(d, table, p, "upper")
+    lower = float(_inverse_cdf(d, p, "lower"))
+    upper = float(_inverse_cdf(d, p, "upper"))
     return QuantilePreimage(lower=lower, upper=upper, p=p)
 
 
@@ -147,27 +142,4 @@ def sample(d: PiecewiseLinearDensity, uniforms) -> np.ndarray:
     if u.size and (np.any(u < 0.0) or np.any(u >= 1.0) or not np.all(np.isfinite(u))):
         raise BadProbabilityError("uniform variates must lie in [0, 1)")
     require_normalized(d)
-    d = canonicalize(d)
-    if u.size == 0:
-        return np.empty(0, dtype=float)
-
-    c = d.breakpoints
-    table = cdf_table(d).cumulative
-    j = np.searchsorted(table, u, side="left") - 1
-    j = np.clip(j, 0, c.size - 2)
-    w = c[j + 1] - c[j]
-    right = d.right_limits[j]
-    left = d.left_limits[j]
-    q = u - table[j]
-
-    alpha = (left - right) / (2.0 * w)
-    beta = right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        linear = np.abs(alpha) <= 1e-14 * np.abs(beta)
-        h_lin = q / beta
-        disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
-        h_quad = 2.0 * q / (beta + np.sqrt(disc))
-    h = np.where(linear, h_lin, h_quad)
-    h = np.where(q <= 0.0, 0.0, h)
-    h = np.clip(h, 0.0, w)
-    return c[j] + h
+    return _inverse_cdf(d, u, "lower")

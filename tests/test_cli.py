@@ -352,6 +352,21 @@ class TestQuantileCommand:
         assert rc == 0
         assert "quantile = 1\n" in capsys.readouterr().out
 
+    def test_p_one_with_mass_short_of_one(self, tmp_path, capsys):
+        spec = tmp_path / "short.json"
+        h = [1 - 5e-10, 0]
+        spec.write_text(
+            _spec(kind="piecewise_linear", breakpoints=[0, 1, 2],
+                  right_limits=h, left_limits=h)
+        )
+        rc = cli.main(["quantile", str(spec), "-p", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "preimage_lower = 1\n"
+            "preimage_upper = 2\n"
+            "quantile = 1\n"
+        )
+
     def test_bad_probability(self, capsys):
         rc = cli.main(["quantile", str(DATA / "tri05.json"), "-p", "1.5"])
         assert rc == 1

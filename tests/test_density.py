@@ -149,6 +149,19 @@ def test_canonicalize_preserves_mass():
         out = pw.canonicalize(d)
         assert out.grid.is_strict
         assert_allclose(pw.raw_mass(out), pw.raw_mass(d), rtol=1e-14)
+        assert out is d
+        raw = np.sum((rr2 + ll2) * np.diff(c2)) / 2.0
+        assert_allclose(pw.raw_mass(d), raw, rtol=1e-14)
+
+
+def test_density_is_canonical_at_construction():
+    d = pw.PiecewiseLinearDensity(
+        pw.Grid([0, 1, 1, 2]), [1.0, 5.0, 0.5], [2.0, 7.0, 0.25]
+    )
+    assert np.all(np.diff(d.breakpoints) > 0.0)
+    assert_allclose(d.breakpoints, [0.0, 1.0, 2.0])
+    assert not d.right_limits.flags.writeable
+    assert not d.left_limits.flags.writeable
 
 
 def test_promote_matches_heights():

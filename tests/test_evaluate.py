@@ -125,6 +125,13 @@ def test_cdf_table_is_cumsum_and_readonly():
     assert not t.cumulative.flags.writeable
 
 
+def test_cdf_table_is_built_once():
+    d = _two_triangle()
+    first, second = pw.cdf_table(d).cumulative, pw.cdf_table(d).cumulative
+    assert first is second
+    assert not first.flags.writeable
+
+
 def test_cdf_unnormalized_density_integrates_to_mass():
     d = pw.validate([0, 1], [3.0], [3.0])
     assert pw.cdf(d, 1.0) == pytest.approx(3.0)

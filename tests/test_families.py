@@ -125,6 +125,13 @@ class TestTriangularStats:
         assert s.mean == pytest.approx(7.0 / 3.0, rel=1e-14)
         assert s.variance == pytest.approx(7.0 / 18.0, rel=1e-14)
 
+    def test_far_from_origin(self):
+        a, c, b = 1e8, 1e8 + 0.25, 1e8 + 1.0
+        s = pw.triangular_stats(pw.TriangularParams(a, c, b))
+        assert s.variance == pytest.approx(
+            (1.0 + 0.25**2 - 0.25) / 18.0, rel=1e-12
+        )
+
     def test_against_general_pipeline(self):
         rng = np.random.default_rng(113)
         for _ in range(100):
@@ -151,6 +158,13 @@ class TestTetragonalStats:
         assert s.variance == pytest.approx(5.0 / 12.0, rel=1e-13)
         assert s.median == pytest.approx(1.5, abs=1e-12)
         assert s.modes == (1.0, 2.0)
+
+    def test_symmetric_far_from_origin(self):
+        t = 1e8
+        params = pw.TetragonalParams(t, t + 1, t + 2, t + 3, 0.5, 0.5)
+        s = pw.tetragonal_stats(params)
+        assert s.mean == t + 1.5
+        assert s.variance == pytest.approx(5.0 / 12.0, rel=1e-12)
 
     def test_mode_trichotomy(self):
         taller_left = pw.TetragonalParams(0, 1, 2, 3, 0.75, 0.25)

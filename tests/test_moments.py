@@ -5,6 +5,7 @@ and against adaptive quadrature on randomized densities.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,26 @@ def _step():
 
 def _uniform01():
     return pw.validate([0, 1], [1.0], [1.0])
+
+
+def _exact_mean_variance(c, rr, ll):
+    """Mean and variance of f / mass in exact rational arithmetic."""
+    c, rr, ll = ([Fraction(float(v)) for v in arr] for arr in (c, rr, ll))
+
+    def integral(k, centre):
+        # int (x - centre)^k f over each piece, f = r + s (y - y0) in y = x - centre
+        total = Fraction(0)
+        for lo, hi, r, l in zip(c, c[1:], rr, ll):
+            s = (l - r) / (hi - lo)
+            y0, y1 = lo - centre, hi - centre
+            a = r - s * y0
+            total += a * (y1 ** (k + 1) - y0 ** (k + 1)) / (k + 1)
+            total += s * (y1 ** (k + 2) - y0 ** (k + 2)) / (k + 2)
+        return total
+
+    mass = integral(0, 0)
+    mu = integral(1, 0) / mass
+    return mu, integral(2, mu) / mass
 
 
 def _random_polygonal(rng, max_interior=6):
@@ -90,6 +111,41 @@ class TestMeanVariance:
             assert pw.variance(shifted) == pytest.approx(
                 pw.variance(d), rel=1e-10, abs=1e-12
             )
+        # Far offsets, on breakpoints rounded to multiples of 2^-10 so the
+        # shifted grid is exact.
+        for t in (1e6, 1e8):
+            for _ in range(25):
+                c, rr, ll = random_density_arrays(rng)
+                c = np.round(c * 1024.0) / 1024.0
+                d, _ = pw.normalize(pw.validate(c, rr, ll))
+                shifted = pw.PiecewiseLinearDensity(
+                    pw.Grid(d.breakpoints + t), d.right_limits, d.left_limits
+                )
+                assert pw.mean(shifted) == pytest.approx(
+                    pw.mean(d) + t, rel=1e-14
+                )
+                assert pw.variance(shifted) == pytest.approx(
+                    pw.variance(d), rel=1e-10, abs=1e-12
+                )
+
+    def test_distribution_moments_far_and_short_of_unit_mass(self):
+        """Moments are those of f / mass, accurate at an offset of 1e8."""
+        c = [1e8, 1e8 + 2.0**-9]
+        h = [(1.0 - 0.9e-9) * 2.0**9]
+        d = pw.validate(c, h, h)
+        mu, var = _exact_mean_variance(c, h, h)
+        s = pw.summary(d)
+        for got in (pw.mean(d), s.mean):
+            assert abs(Fraction(got) - mu) <= math.ulp(1e8)
+        for got in (pw.variance(d), s.variance):
+            assert got == pytest.approx(float(var), rel=1e-12)
+
+        c = [1e8, 1e8 + 2.0**-9, 1e8 + 2.0**-8]
+        heights = [0.0, (1.0 - 0.9e-9) * 2.0**9, 0.0]
+        p = pw.PolygonalDensity(pw.Grid(c), heights)
+        mu, var = _exact_mean_variance(c, heights[:-1], heights[1:])
+        assert abs(Fraction(pw.mean_polygonal(p)) - mu) <= math.ulp(1e8)
+        assert pw.variance_polygonal(p) == pytest.approx(float(var), rel=1e-12)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(61)

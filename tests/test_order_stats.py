@@ -1,5 +1,7 @@
 """Quantile preimages, medians, and inverse-transform sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +20,31 @@ def _two_triangle():
 
 def _step():
     return pw.validate([0, 1, 2], [0.75, 0.25], [0.75, 0.25])
+
+
+def _mass_short_of_one():
+    """Mass 1 - 5e-10, inside the tolerance, ending in a zero piece."""
+    h = [1.0 - 5e-10, 0.0]
+    return pw.validate([0, 1, 2], h, h)
+
+
+def _random_edge_density(rng):
+    """Coincident breakpoints, zero runs, and a mass at the tolerance edge."""
+    n = int(rng.integers(1, 12))
+    c = np.sort(rng.uniform(-5.0, 5.0, size=n + 1))
+    c = np.sort(np.concatenate((c, rng.choice(c, size=int(rng.integers(0, 3))))))
+    rr = rng.uniform(0.0, 1.0, size=c.size - 1)
+    ll = rng.uniform(0.0, 1.0, size=c.size - 1)
+    for _ in range(int(rng.integers(0, 3))):
+        start = int(rng.integers(0, rr.size))
+        stop = start + int(rng.integers(1, 4))
+        rr[start:stop] = 0.0
+        ll[start:stop] = 0.0
+    mass = np.sum((rr + ll) * np.diff(c)) / 2.0
+    if not mass > 0.0:
+        return None
+    k = (1.0 + rng.choice([0.0, -0.9e-9, 0.9e-9])) / mass
+    return pw.validate(c, rr * k, ll * k)
 
 
 class TestQuantilePreimage:
@@ -45,6 +72,10 @@ class TestQuantilePreimage:
         pre = pw.quantile_preimage(d, 1.0)
         assert pre.lower == pytest.approx(1.0, abs=1e-12)
         assert pre.upper == 2.0
+
+    def test_one_probability_with_mass_short_of_one(self):
+        pre = pw.quantile_preimage(_mass_short_of_one(), 1.0)
+        assert (pre.lower, pre.upper) == (1.0, 2.0)
 
     def test_probability_out_of_range(self):
         d = pw.promote(pw.triangular(0, 0.5, 1))
@@ -152,6 +183,28 @@ class TestSample:
     def test_requires_normalization(self):
         with pytest.raises(pw.NotNormalizedError):
             pw.sample(pw.validate([0, 1], [3.0], [3.0]), np.array([0.5]))
+
+    def test_matches_quantile_with_mass_short_of_one(self):
+        d = _mass_short_of_one()
+        u = math.nextafter(1.0, 0.0)
+        assert pw.sample(d, [u])[0] == pw.quantile(d, u, "inf")
+
+    def test_matches_quantile_on_edge_densities(self):
+        rng = np.random.default_rng(151)
+        checked = 0
+        while checked < 200:
+            d = _random_edge_density(rng)
+            if d is None:
+                continue
+            table = pw.cdf_table(d).cumulative
+            u = np.concatenate((
+                rng.random(40),
+                table[table < 1.0],
+                [0.0, math.nextafter(1.0, 0.0)],
+            ))
+            expected = [pw.quantile(d, float(ui), "inf") for ui in u]
+            np.testing.assert_array_equal(pw.sample(d, u), expected)
+            checked += 1
 
     def test_empty_input(self):
         x = pw.sample(_step(), np.array([]))
