@@ -57,21 +57,28 @@ def breakpoint_values(
     were provided; ``max`` takes ``max{L_i, R_i}``; ``mean`` takes
     ``(L_i + R_i) / 2``.  The implicit outer limits are 0.
     """
+    return _values_at_breakpoints(d, point_rule, np.arange(d.breakpoints.size))
+
+
+def _values_at_breakpoints(
+    d: PiecewiseLinearDensity, point_rule: str, i: np.ndarray
+) -> np.ndarray:
+    """``breakpoint_values(d, point_rule)[i]``, computed at ``i`` only."""
     if point_rule not in POINT_RULES:
         raise ValueError(f"point_rule must be one of {POINT_RULES}")
     if point_rule == "given" and d.point_values is not None:
-        return d.point_values
-    left_full = np.concatenate(([0.0], d.left_limits))
-    right_full = np.concatenate((d.right_limits, [0.0]))
+        return d.point_values[i]
+    last = d.right_limits.size  # index of c_{n+1}, where R_{n+1} = 0
+    left = np.where(i > 0, d.left_limits[i - 1], 0.0)
+    right = np.where(i < last, d.right_limits[np.minimum(i, last - 1)], 0.0)
     if point_rule == "mean":
-        return (left_full + right_full) / 2.0
-    return np.maximum(left_full, right_full)
+        return (left + right) / 2.0
+    return np.maximum(left, right)
 
 
 def _interp_values(d: PiecewiseLinearDensity, xs: np.ndarray, j: np.ndarray):
     c = d.breakpoints
-    w = d.grid.widths
-    t = (xs - c[j]) / w[j]
+    t = (xs - c[j]) / (c[j + 1] - c[j])
     return d.right_limits[j] * (1.0 - t) + d.left_limits[j] * t
 
 
@@ -94,8 +101,7 @@ def pdf(d: PiecewiseLinearDensity, x, point_rule: str = "given"):
     c = d.breakpoints
     xs, scalar, j, pos, at_breakpoint = _locate(c, x)
     vals = _interp_values(d, xs, j)
-    pv = breakpoint_values(d, point_rule)
-    vals = np.where(at_breakpoint, pv[pos], vals)
+    vals[at_breakpoint] = _values_at_breakpoints(d, point_rule, pos[at_breakpoint])
 
     inside = (xs >= c[0]) & (xs <= c[-1])
     out = np.where(inside, vals, 0.0)

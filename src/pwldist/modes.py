@@ -88,9 +88,7 @@ def _candidate_values(d: PiecewiseLinearDensity, convention: str):
     return left_full, right_full, pv, means, use_limits
 
 
-def f_sup(d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION) -> float:
-    """Supremum density value under the given convention."""
-    left_full, right_full, pv, means, use_limits = _candidate_values(d, convention)
+def _supremum(left_full, right_full, pv, means, use_limits) -> float:
     best = 0.0
     if use_limits:
         best = max(best, float(np.max(left_full)), float(np.max(right_full)))
@@ -101,37 +99,53 @@ def f_sup(d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION) -> fl
     return best
 
 
-def _near(value: float, sup: float) -> bool:
-    return abs(value - sup) <= _REL_TOL * max(abs(sup), 1e-300)
+def f_sup(d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION) -> float:
+    """Supremum density value under the given convention."""
+    return _supremum(*_candidate_values(d, convention))
+
+
+def _near(values: np.ndarray, sup: float) -> np.ndarray:
+    """Elementwise ``values == sup`` within the relative tolerance."""
+    return np.abs(values - sup) <= _REL_TOL * max(abs(sup), 1e-300)
 
 
 def mode_set(
     d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION
 ) -> ModeSet:
-    """All loci realizing f_sup under the convention, in support order."""
-    left_full, right_full, pv, means, use_limits = _candidate_values(d, convention)
-    sup = f_sup(d, convention)
+    """All loci realizing f_sup under the convention, in support order.
+
+    The candidate tests run as masks over all breakpoints; only the
+    breakpoints that some test hits are visited to emit their loci, in the
+    order limit locus, point-value locus, ``half-half``, ``open-interval``.
+    """
+    candidates = _candidate_values(d, convention)
+    left_full, right_full, pv, means, use_limits = candidates
+    sup = _supremum(*candidates)
     c = d.breakpoints
+    missed = np.zeros(c.size, dtype=bool)
+    l_hit = _near(left_full, sup) if use_limits else missed
+    r_hit = _near(right_full, sup) if use_limits else missed
+    both = l_hit & r_hit
+    pv_hit = _near(pv, sup) & ~both if pv is not None else missed
+    mean_hit = _near(means, sup) if means is not None else missed
+    # Piece i is a plateau when R_i and L_{i+1} both attain the supremum.
+    plateau = missed.copy()
+    plateau[:-1] = _near(d.right_limits, sup) & _near(d.left_limits, sup)
     loci: list[ModeLocus] = []
-    for i in range(c.size):
+    for i in np.flatnonzero(l_hit | r_hit | pv_hit | mean_hit | plateau).tolist():
         pos = float(c[i])
-        l_hit = use_limits and _near(float(left_full[i]), sup)
-        r_hit = use_limits and _near(float(right_full[i]), sup)
-        if l_hit and r_hit:
+        if both[i]:
             loci.append(ModeLocus("point", pos))
-        elif l_hit:
+        elif l_hit[i]:
             loci.append(ModeLocus("left-limit", pos))
-        elif r_hit:
+        elif r_hit[i]:
             loci.append(ModeLocus("right-limit", pos))
-        if pv is not None and _near(float(pv[i]), sup) and not (l_hit and r_hit):
+        if pv_hit[i]:
             loci.append(ModeLocus("point", pos))
-        if means is not None and _near(float(means[i]), sup):
+        if mean_hit[i]:
             loci.append(ModeLocus("half-half", pos))
-        if i < c.size - 1:
-            if _near(float(d.right_limits[i]), sup) and _near(
-                float(d.left_limits[i]), sup
-            ):
-                loci.append(ModeLocus("open-interval", pos, float(c[i + 1])))
+        if plateau[i]:
+            loci.append(ModeLocus("open-interval", pos, float(c[i + 1])))
     return ModeSet(f_sup=sup, convention=convention, loci=tuple(loci))
 
 
@@ -145,12 +159,11 @@ def mode_set_continuous(p: PolygonalDensity) -> ModeSet:
     h = p.heights
     c = p.breakpoints
     fmax = float(np.max(h[1:-1])) if h.size > 2 else 0.0
+    hit = np.zeros(c.size, dtype=bool)
+    hit[1:-1] = _near(h[1:-1], fmax)
     loci: list[ModeLocus] = []
-    for i in range(1, c.size - 1):
-        if _near(float(h[i]), fmax):
-            loci.append(ModeLocus("point", float(c[i])))
-            if i + 1 < c.size - 1 and _near(float(h[i + 1]), fmax):
-                loci.append(
-                    ModeLocus("open-interval", float(c[i]), float(c[i + 1]))
-                )
+    for i in np.flatnonzero(hit).tolist():
+        loci.append(ModeLocus("point", float(c[i])))
+        if hit[i + 1]:
+            loci.append(ModeLocus("open-interval", float(c[i]), float(c[i + 1])))
     return ModeSet(f_sup=fmax, convention="continuous", loci=tuple(loci))

@@ -86,31 +86,39 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p, side: str) -> np.ndarray:
     return x
 
 
+def _checked_level(d: PiecewiseLinearDensity, p: float) -> float:
+    """``p`` as a float, after the probability and normalization checks."""
+    p = float(p)
+    if not (0.0 <= p <= 1.0):
+        raise BadProbabilityError(f"probability must lie in [0, 1], got {p!r}")
+    require_normalized(d)
+    return p
+
+
 def quantile_preimage(d: PiecewiseLinearDensity, p: float) -> QuantilePreimage:
     """The full interval ``{x : F(x) = p}``, clipped to the support.
 
     For ``p = 0`` the lower end is the support infimum; for ``p = 1``, or
     ``p`` at or above the total mass, the upper end is the support supremum.
     """
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise BadProbabilityError(f"probability must lie in [0, 1], got {p!r}")
-    require_normalized(d)
+    p = _checked_level(d, p)
     lower = float(_inverse_cdf(d, p, "lower"))
     upper = float(_inverse_cdf(d, p, "upper"))
     return QuantilePreimage(lower=lower, upper=upper, p=p)
 
 
 def quantile(d: PiecewiseLinearDensity, p: float, rule: str = "inf") -> float:
-    """One point of the preimage: its infimum, supremum, or midpoint."""
+    """One point of the preimage: its infimum, supremum, or midpoint.
+
+    ``inf`` and ``sup`` solve only the end they return.
+    """
     if rule not in QUANTILE_RULES:
         raise ValueError(f"rule must be one of {QUANTILE_RULES}")
-    pre = quantile_preimage(d, p)
-    if rule == "inf":
-        return pre.lower
-    if rule == "sup":
-        return pre.upper
-    return (pre.lower + pre.upper) / 2.0
+    if rule == "mid":
+        pre = quantile_preimage(d, p)
+        return (pre.lower + pre.upper) / 2.0
+    p = _checked_level(d, p)
+    return float(_inverse_cdf(d, p, "lower" if rule == "inf" else "upper"))
 
 
 def median_set(d: PiecewiseLinearDensity) -> MedianSet:

@@ -96,3 +96,77 @@ def random_density_arrays(rng, max_interior=8, span=(-10.0, 10.0), floor=0.0):
         rr[0] = 1.0
     mass = float(np.sum((rr + ll) * np.diff(c)) / 2.0)
     return c, rr / mass, ll / mass
+
+
+_MODE_REL_TOL = 1e-12
+
+
+def _near(value, sup):
+    return abs(value - sup) <= _MODE_REL_TOL * max(abs(sup), 1e-300)
+
+
+def reference_mode_set(d, convention):
+    """``(f_sup, loci)`` of ``d`` by a per-breakpoint scan, loci as
+    ``(kind, position, position2)`` tuples in support order.
+
+    The candidate values are rebuilt here from the stored limits and point
+    values: padded limits with the implicit outer zeros, point values
+    falling back to ``max{L_i, R_i}``, and limit means.
+    """
+    left_full = np.concatenate(([0.0], d.left_limits))
+    right_full = np.concatenate((d.right_limits, [0.0]))
+    use_points = convention in ("point_and_limits", "point_and_mean_limits")
+    use_limits = convention in ("point_and_limits", "limits_only")
+    use_means = convention in ("point_and_mean_limits", "mean_limits_only")
+    pv = None
+    if use_points:
+        pv = (
+            d.point_values
+            if d.point_values is not None
+            else np.maximum(left_full, right_full)
+        )
+    means = (left_full + right_full) / 2.0 if use_means else None
+    sup = 0.0
+    if use_limits:
+        sup = max(sup, float(np.max(left_full)), float(np.max(right_full)))
+    if pv is not None:
+        sup = max(sup, float(np.max(pv)))
+    if means is not None:
+        sup = max(sup, float(np.max(means)))
+
+    c = d.breakpoints
+    loci = []
+    for i in range(c.size):
+        pos = float(c[i])
+        l_hit = use_limits and _near(float(left_full[i]), sup)
+        r_hit = use_limits and _near(float(right_full[i]), sup)
+        if l_hit and r_hit:
+            loci.append(("point", pos, None))
+        elif l_hit:
+            loci.append(("left-limit", pos, None))
+        elif r_hit:
+            loci.append(("right-limit", pos, None))
+        if pv is not None and _near(float(pv[i]), sup) and not (l_hit and r_hit):
+            loci.append(("point", pos, None))
+        if means is not None and _near(float(means[i]), sup):
+            loci.append(("half-half", pos, None))
+        if i < c.size - 1:
+            if _near(float(d.right_limits[i]), sup) and _near(
+                float(d.left_limits[i]), sup
+            ):
+                loci.append(("open-interval", pos, float(c[i + 1])))
+    return sup, loci
+
+
+def reference_mode_set_continuous(heights, breakpoints):
+    """``(fmax, loci)`` of a polygonal density by a per-vertex scan."""
+    h = np.asarray(heights, dtype=float)
+    c = np.asarray(breakpoints, dtype=float)
+    fmax = float(np.max(h[1:-1])) if h.size > 2 else 0.0
+    loci = []
+    for i in range(1, c.size - 1):
+        if _near(float(h[i]), fmax):
+            loci.append(("point", float(c[i]), None))
+            if i + 1 < c.size - 1 and _near(float(h[i + 1]), fmax):
+                loci.append(("open-interval", float(c[i]), float(c[i + 1])))
+    return fmax, loci

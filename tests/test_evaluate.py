@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import pwldist as pw
 
@@ -71,6 +71,8 @@ def test_pdf_breakpoint_conventions():
     assert pw.pdf(d, 2.0, point_rule="mean") == pytest.approx(0.125)
     with pytest.raises(ValueError):
         pw.pdf(d, 1.0, point_rule="median")
+    with pytest.raises(ValueError):
+        pw.pdf(d, 0.5, point_rule="median")
 
 
 def test_pdf_stored_point_values_win_under_given():
@@ -78,6 +80,27 @@ def test_pdf_stored_point_values_win_under_given():
     assert pw.pdf(d, 1.0) == pytest.approx(5.0)
     assert pw.pdf(d, 1.0, point_rule="max") == pytest.approx(0.75)
     assert pw.pdf(d, 0.5) == pytest.approx(0.75)  # interior unaffected
+
+
+def test_pdf_at_breakpoints_matches_breakpoint_values():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        c, rr, ll = random_density_arrays(rng)
+        left_full = np.concatenate(([0.0], ll))
+        right_full = np.concatenate((rr, [0.0]))
+        pv = rng.uniform(0.0, 2.0, size=c.size)
+        expected = {
+            "max": np.maximum(left_full, right_full),
+            "mean": (left_full + right_full) / 2.0,
+        }
+        for d, given in (
+            (pw.validate(c, rr, ll), expected["max"]),
+            (pw.validate(c, rr, ll, pv), pv),
+        ):
+            for rule, values in dict(expected, given=given).items():
+                assert_array_equal(pw.breakpoint_values(d, rule), values)
+                assert_array_equal(pw.pdf(d, c, point_rule=rule), values)
+                assert [pw.pdf(d, float(x), point_rule=rule) for x in c] == list(values)
 
 
 def test_pdf_vector_matches_scalar():

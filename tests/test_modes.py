@@ -5,6 +5,8 @@ import pytest
 
 import pwldist as pw
 
+from oracles import reference_mode_set, reference_mode_set_continuous
+
 
 def _step():
     return pw.validate([0, 1, 2], [0.75, 0.25], [0.75, 0.25])
@@ -135,6 +137,84 @@ class TestModeSet:
                     i = int(np.searchsorted(d.breakpoints, locus.position))
                     attained = max(left_full[i], right_full[i])
                     assert attained == pytest.approx(ms.f_sup, rel=1e-12)
+
+
+def _tie_heights(rng, size, top):
+    """Heights drawn from the top level, near-ties within 1e-12 relative
+    on either side of it, values just outside the tie tolerance, lower
+    values and zero runs."""
+    palette = np.array([
+        top,
+        top * (1.0 - 4e-13),
+        top * (1.0 + 4e-13),
+        top * (1.0 - 3e-12),
+        0.5 * top,
+        0.0,
+    ])
+    h = palette[rng.integers(0, palette.size, size=size)]
+    lower = rng.random(size) < 0.3
+    h[lower] = rng.uniform(0.0, top, size=int(lower.sum()))
+    for _ in range(int(rng.integers(0, 3))):
+        start = int(rng.integers(0, max(size, 1)))
+        h[start:start + int(rng.integers(1, 6))] = 0.0
+    return h
+
+
+def _random_tie_density(rng, n):
+    """A density with ties to its supremum, outermost plateaus, jumps,
+    zero runs and, half the time, point values above the limits."""
+    c = np.cumsum(rng.uniform(0.1, 1.0, size=n + 2)) - rng.uniform(0.0, 50.0)
+    top = float(rng.uniform(0.5, 2.0))
+    rr = _tie_heights(rng, n + 1, top)
+    ll = _tie_heights(rng, n + 1, top)
+    continuous = rng.random(n) < 0.5
+    ll[:-1][continuous] = rr[1:][continuous]
+    if rng.random() < 0.3:
+        rr[0] = ll[0] = top
+    if rng.random() < 0.3:
+        rr[-1] = ll[-1] = top
+    pv = None
+    if rng.random() < 0.5:
+        pv = _tie_heights(rng, n + 2, top)
+        above = rng.random(n + 2) < 0.05
+        pv[above] = top * rng.choice([1.0, 1.5], size=int(above.sum()))
+    return pw.validate(c, rr, ll, pv)
+
+
+def _as_tuples(ms):
+    return [(l.kind, l.position, l.position2) for l in ms.loci]
+
+
+class TestModeSetAgainstScan:
+    """The masked mode_set against a per-breakpoint reference scan."""
+
+    def test_equal_to_reference_scan(self):
+        rng = np.random.default_rng(211)
+        kinds = set()
+        for trial in range(240):
+            n = int(rng.integers(0, 30)) if trial % 40 else int(rng.integers(1000, 10_001))
+            d = _random_tie_density(rng, n)
+            for conv in pw.CONVENTIONS:
+                ms = pw.mode_set(d, convention=conv)
+                sup, loci = reference_mode_set(d, conv)
+                assert ms.f_sup == sup
+                assert _as_tuples(ms) == loci
+                kinds.update(kind for kind, _, _ in loci)
+        assert kinds == {
+            "point", "left-limit", "right-limit", "half-half", "open-interval"
+        }
+
+    def test_continuous_equal_to_reference_scan(self):
+        rng = np.random.default_rng(223)
+        for trial in range(200):
+            n = int(rng.integers(0, 30)) if trial % 40 else int(rng.integers(1000, 10_001))
+            c = np.cumsum(rng.uniform(0.1, 1.0, size=n + 2))
+            h = np.zeros(n + 2)
+            h[1:-1] = _tie_heights(rng, n, float(rng.uniform(0.5, 2.0)))
+            ms = pw.mode_set_continuous(pw.PolygonalDensity(pw.Grid(c), h))
+            fmax, loci = reference_mode_set_continuous(h, c)
+            assert ms.f_sup == fmax
+            assert _as_tuples(ms) == loci
 
 
 class TestModeSetContinuous:

@@ -30,24 +30,25 @@ def _uniform01():
     return pw.validate([0, 1], [1.0], [1.0])
 
 
+def _exact_integral(c, rr, ll, k, centre=Fraction(0)):
+    """int (x - centre)^k f dx in exact rational arithmetic."""
+    c, rr, ll = ([Fraction(float(v)) for v in arr] for arr in (c, rr, ll))
+    total = Fraction(0)
+    for lo, hi, r, l in zip(c, c[1:], rr, ll):
+        # f = r + s (y - y0) in y = x - centre
+        s = (l - r) / (hi - lo)
+        y0, y1 = lo - centre, hi - centre
+        a = r - s * y0
+        total += a * (y1 ** (k + 1) - y0 ** (k + 1)) / (k + 1)
+        total += s * (y1 ** (k + 2) - y0 ** (k + 2)) / (k + 2)
+    return total
+
+
 def _exact_mean_variance(c, rr, ll):
     """Mean and variance of f / mass in exact rational arithmetic."""
-    c, rr, ll = ([Fraction(float(v)) for v in arr] for arr in (c, rr, ll))
-
-    def integral(k, centre):
-        # int (x - centre)^k f over each piece, f = r + s (y - y0) in y = x - centre
-        total = Fraction(0)
-        for lo, hi, r, l in zip(c, c[1:], rr, ll):
-            s = (l - r) / (hi - lo)
-            y0, y1 = lo - centre, hi - centre
-            a = r - s * y0
-            total += a * (y1 ** (k + 1) - y0 ** (k + 1)) / (k + 1)
-            total += s * (y1 ** (k + 2) - y0 ** (k + 2)) / (k + 2)
-        return total
-
-    mass = integral(0, 0)
-    mu = integral(1, 0) / mass
-    return mu, integral(2, mu) / mass
+    mass = _exact_integral(c, rr, ll, 0)
+    mu = _exact_integral(c, rr, ll, 1) / mass
+    return mu, _exact_integral(c, rr, ll, 2, mu) / mass
 
 
 def _random_polygonal(rng, max_interior=6):
@@ -232,6 +233,27 @@ class TestRawMoment:
             pw.summary(near).variance, rel=1e-12
         )
 
+    def test_exact_on_negative_and_far_supports(self):
+        """Orders 0-12 within 1e-14 relative of an exact Fraction sum.
+
+        Each support lies on one side of the origin, so x^m f has one sign
+        and the exact value has no cancellation to amplify rounding; the
+        bound is about 45 ulp.
+        """
+        rng = np.random.default_rng(227)
+        for offset in (-12345.0, 1e8):
+            for _ in range(8):
+                n = int(rng.integers(0, 40))
+                c = offset + np.cumsum(rng.uniform(0.05, 3.0, size=n + 2))
+                rr = rng.uniform(0.0, 1.0, size=n + 1)
+                ll = rng.uniform(0.0, 1.0, size=n + 1)
+                rr[rng.random(n + 1) < 0.2] = 0.0
+                d = pw.validate(c, rr, ll)
+                for m in range(pw.MAX_MOMENT_ORDER + 1):
+                    exact = _exact_integral(c, rr, ll, m)
+                    got = Fraction(pw.raw_moment(d, m))
+                    assert abs(got - exact) <= 1e-14 * abs(exact), (offset, m)
+
 
 class TestSummary:
     def test_uniform_shape(self):
@@ -265,6 +287,22 @@ class TestSummary:
             c, rr, ll = random_density_arrays(rng)
             s = pw.summary(pw.validate(c, rr, ll))
             assert s.excess + 2.0 >= s.skewness**2 - 1e-9
+
+    def test_shape_far_from_origin(self):
+        """Skewness and excess stay at rounding level at offsets 1e6, 1e8."""
+        for offset in (0.0, 1e6, 1e8):
+            c = offset + np.array([0.0, 1.0, 1.5, 3.0])
+            d, _ = pw.normalize(pw.validate(c, [0.2, 0.9, 0.1], [0.7, 0.3, 0.0]))
+            args = (d.breakpoints, d.right_limits, d.left_limits)
+            mass = _exact_integral(*args, 0)
+            mu = _exact_integral(*args, 1) / mass
+            c2, c3, c4 = (_exact_integral(*args, k, mu) / mass for k in (2, 3, 4))
+            s = pw.summary(d)
+            assert s.variance == pytest.approx(float(c2), rel=1e-14)
+            assert s.skewness == pytest.approx(
+                float(c3) / float(c2) ** 1.5, rel=1e-12
+            )
+            assert s.excess == pytest.approx(float(c4 / c2 ** 2 - 3), rel=1e-12)
 
     def test_requires_normalization(self):
         with pytest.raises(pw.NotNormalizedError):

@@ -115,6 +115,31 @@ class TestQuantile:
         with pytest.raises(ValueError):
             pw.quantile(d, 0.5, rule="nearest")
 
+    def test_inf_and_sup_are_the_preimage_ends(self):
+        rng = np.random.default_rng(157)
+        checked = 0
+        while checked < 100:
+            d = _random_edge_density(rng)
+            if d is None:
+                continue
+            table = pw.cdf_table(d).cumulative
+            for p in np.concatenate((rng.random(10), table[table <= 1.0], [0.0, 1.0])):
+                pre = pw.quantile_preimage(d, p)
+                assert pw.quantile(d, p, "inf") == pre.lower
+                assert pw.quantile(d, p, "sup") == pre.upper
+                assert pw.quantile(d, p, "mid") == (pre.lower + pre.upper) / 2.0
+            checked += 1
+
+    def test_checks_apply_under_every_rule(self):
+        d = pw.promote(pw.triangular(0, 0.5, 1))
+        unnormalized = pw.validate([0, 1], [3.0], [3.0])
+        for rule in pw.QUANTILE_RULES:
+            for p in (-0.1, 1.1, float("nan")):
+                with pytest.raises(pw.BadProbabilityError):
+                    pw.quantile(d, p, rule)
+            with pytest.raises(pw.NotNormalizedError):
+                pw.quantile(unnormalized, 0.5, rule)
+
     def test_round_trip_strictly_positive(self):
         rng = np.random.default_rng(89)
         ps = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
