@@ -18,11 +18,11 @@ is translated so its midpoint sits at 0 before integrating, which keeps the
 odd/even split exact and avoids the cancellation the monomial basis suffers
 when breakpoints are far from the origin, then the binomial shift moves the
 result back.  That shift is a polynomial in the piece midpoint, evaluated by
-Horner's rule over whole arrays of pieces with the powers of the half-width
-as a running product: no array power (which is slow for negative bases)
-and a fixed number of temporaries for every order.  The shape summary
-takes its central moments 2-4 the same way in one pass, on breakpoints
-shifted by ``c_0`` and then by the mean.
+Horner's rule over blocks of pieces with the powers of the half-width as a
+running product: no array power (which is slow for negative bases) and a
+fixed number of temporaries for every order.  The shape summary takes its
+central moments 2-4 the same way in one pass, on breakpoints shifted by
+``c_0`` and then by the mean.
 """
 
 from __future__ import annotations
