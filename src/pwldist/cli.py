@@ -26,7 +26,9 @@ Sampling is deterministic: ``--seed S`` expands to uniforms through the
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
     u     <- (state >> 11) * 2^-53
 
-starting from state = S, one update per draw.
+starting from state = S, one update per draw.  The stream is evaluated in
+closed form by jump-ahead (draw k is a^k S + c (a^k - 1)/(a - 1) mod 2^64),
+so ``--seed`` output is exactly that of the recurrence.
 """
 
 from __future__ import annotations
@@ -52,14 +54,32 @@ _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 
+_ROW_BLOCK = 4096  # CSV rows formatted per write
+
+
 def seeded_uniforms(seed: int, n: int) -> np.ndarray:
-    """The documented deterministic uniform stream for --seed."""
-    state = int(seed) & _LCG_MASK
-    out = np.empty(int(n))
-    for i in range(out.size):
-        state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        out[i] = (state >> 11) * 2.0**-53
-    return out
+    """The documented deterministic uniform stream for --seed.
+
+    Draw k = 1..n has state a^k S + c_k with c_k = c (a^k - 1)/(a - 1),
+    all mod 2^64.  The (a^k, c_k) tables are built by doubling,
+    (a^(m+j), c_(m+j)) = (a^j a^m, a^j c_m + c_j), in uint64 arrays,
+    whose products wrap mod 2^64 exactly as the recurrence does.
+    """
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    mult = np.empty(n, dtype=np.uint64)
+    inc = np.empty(n, dtype=np.uint64)
+    mult[:1], inc[:1] = _LCG_MULT, _LCG_INC
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        mult[m:m + k] = mult[:k] * mult[m - 1]
+        inc[m:m + k] = mult[:k] * inc[m - 1] + inc[:k]
+        m += k
+    mult *= np.uint64(int(seed) & _LCG_MASK)
+    mult += inc
+    return (mult >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -80,7 +100,10 @@ class DistributionSpecFile:
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field '{field}' must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError(f"field '{field}' must be finite")
     return value
@@ -203,6 +226,16 @@ def _write_lines(lines: list[str]) -> None:
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
+def _write_rows(xs: np.ndarray, values: np.ndarray, exact: bool) -> None:
+    """Write the ``x,value`` CSV, formatting ``_ROW_BLOCK`` rows at a time."""
+    row = "%.17g,%.17g\n" if exact else "%.12g,%.12g\n"
+    sys.stdout.write("x,value\n")
+    for start in range(0, len(xs), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        block = np.column_stack((xs[start:stop], values[start:stop]))
+        sys.stdout.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def _emit_spec(payload: dict, out_path: str | None, report: list[str]) -> None:
     text = json.dumps(payload) + "\n"
     report_text = "".join(line + "\n" for line in report)
@@ -291,10 +324,7 @@ def cmd_eval(args) -> int:
         raise BadOrderError(f"--from must not exceed --to, got {lo} > {hi}")
     xs = np.linspace(lo, hi, args.steps + 1)
     values = evaluate.pdf(d, xs) if args.what == "pdf" else evaluate.cdf(d, xs)
-    lines = ["x,value"]
-    for x, v in zip(xs, values):
-        lines.append(f"{_fmt(x, args.exact)},{_fmt(v, args.exact)}")
-    _write_lines(lines)
+    _write_rows(xs, values, args.exact)
     return 0
 
 
@@ -338,10 +368,7 @@ def cmd_sample(args) -> int:
     d = _ensure_normalized(spec.density, args.autonormalize)
     uniforms = seeded_uniforms(args.seed, args.n)
     values = order_stats.sample(d, uniforms)
-    lines = ["x,value"]
-    for u, v in zip(uniforms, values):
-        lines.append(f"{_fmt(u, args.exact)},{_fmt(v, args.exact)}")
-    _write_lines(lines)
+    _write_rows(uniforms, values, args.exact)
     return 0
 
 
@@ -385,6 +412,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type for -n and --steps: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwldist",
@@ -424,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="start of the grid (default: support start)")
     p.add_argument("--to", dest="to_x", type=float, default=None,
                    help="end of the grid (default: support end)")
-    p.add_argument("--steps", type=int, default=100,
+    p.add_argument("--steps", type=_count, default=100,
                    help="number of grid intervals (rows = steps + 1)")
 
     p = add("quantile", cmd_quantile, "quantile and preimage at a level p")
@@ -442,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("sample", cmd_sample, "deterministic inverse-transform samples")
-    p.add_argument("-n", type=int, required=True, help="number of draws")
+    p.add_argument("-n", type=_count, required=True, help="number of draws")
     p.add_argument("--seed", type=int, required=True,
                    help="seed for the documented 64-bit LCG")
     p.add_argument("--autonormalize", action="store_true")

@@ -22,6 +22,13 @@ def _spec(**payload):
     return json.dumps(payload)
 
 
+def _csv_rows(xs, values, exact):
+    """Per-row reference for the x,value CSV that eval and sample print."""
+    fmt = "%.17g,%.17g\n" if exact else "%.12g,%.12g\n"
+    rows = (fmt % (x, v) for x, v in zip(xs.tolist(), values.tolist()))
+    return "x,value\n" + "".join(rows)
+
+
 class TestParseSpec:
     def test_piecewise_linear(self):
         spec = cli.parse_spec(
@@ -106,6 +113,11 @@ class TestParseSpec:
         with pytest.raises((pw.SchemaError, pw.ParseError)):
             cli.parse_spec(text)
 
+    def test_rejects_integer_beyond_float_range(self):
+        text = '{"kind": "triangular", "a": 0, "c": 1, "b": ' + "9" * 400 + "}"
+        with pytest.raises(pw.SchemaError, match="field 'b' must be finite"):
+            cli.parse_spec(text)
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(pw.ParseError, match="line 1"):
             cli.parse_spec('{"kind": "triangular",')
@@ -116,17 +128,20 @@ class TestParseSpec:
 
 
 class TestSeededUniforms:
-    def test_matches_reference_recurrence(self):
-        seed = 42
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 1024, 1025, 100001])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 42, 2**63, 2**64 - 1, -1, 2**70 + 5]
+    )
+    def test_matches_reference_recurrence(self, seed, n):
         state = seed
         expected = []
-        for _ in range(8):
+        for _ in range(n):
             state = (
                 6364136223846793005 * state + 1442695040888963407
             ) % 2**64
             expected.append((state >> 11) * 2.0**-53)
-        got = cli.seeded_uniforms(seed, 8)
-        assert list(got) == expected
+        got = cli.seeded_uniforms(seed, n)
+        assert got.tolist() == expected
 
     def test_range(self):
         u = cli.seeded_uniforms(7, 1000)
@@ -168,6 +183,15 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "right_limits[1]" in err
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        spec = tmp_path / "huge.json"
+        spec.write_text(
+            '{"kind": "triangular", "a": 0, "c": 1, "b": ' + "9" * 400 + "}"
+        )
+        rc = cli.main(["validate", str(spec)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: field 'b' must be finite\n"
 
     def test_missing_file(self, capsys):
         rc = cli.main(["validate", str(DATA / "nope.json")])
@@ -328,6 +352,43 @@ class TestEvalCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("what", ["pdf", "cdf"])
+    @pytest.mark.parametrize(
+        "window, steps",
+        [((0.0, 1.0), 0), ((-0.5, 1.5), 2 * cli._ROW_BLOCK + 1)],
+    )
+    def test_rows_match_per_row_format(self, window, steps, what, exact,
+                                       capsys):
+        argv = [
+            "eval", str(DATA / "tri05.json"), "--what", what,
+            "--from", repr(window[0]), "--to", repr(window[1]),
+            "--steps", str(steps),
+        ] + (["--exact"] if exact else [])
+        assert cli.main(argv) == 0
+        d = cli.parse_spec((DATA / "tri05.json").read_text()).density
+        xs = np.linspace(window[0], window[1], steps + 1)
+        values = pw.pdf(d, xs) if what == "pdf" else pw.cdf(d, xs)
+        expected = _csv_rows(xs, values, exact)
+        if steps:
+            assert ",0\n" in expected
+            assert (",1\n" in expected) == (what == "cdf")
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [("-5", "must not be negative, got -5"),
+         ("x", "invalid int value: 'x'")],
+    )
+    def test_bad_steps_is_a_usage_error(self, steps, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", str(DATA / "tri05.json"), "--steps", steps])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument --steps: {message}\n"
+        )
+
+
 class TestQuantileCommand:
     def test_flat_gap(self, capsys):
         rc = cli.main(
@@ -417,6 +478,28 @@ class TestSampleCommand:
             assert pw.cdf(d, float(v_text)) == pytest.approx(
                 u_expected, abs=1e-12
             )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [0, 2 * cli._ROW_BLOCK + 3])
+    def test_rows_match_per_row_format(self, n, exact, capsys):
+        argv = [
+            "sample", str(DATA / "tet.json"), "-n", str(n), "--seed", "-3",
+        ] + (["--exact"] if exact else [])
+        assert cli.main(argv) == 0
+        d = cli.parse_spec((DATA / "tet.json").read_text()).density
+        us = cli.seeded_uniforms(-3, n)
+        expected = _csv_rows(us, pw.sample(d, us), exact)
+        assert capsys.readouterr().out == expected
+
+    def test_negative_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["sample", str(DATA / "tri05.json"), "-n", "-1", "--seed", "1"]
+            )
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument -n: must not be negative, got -1\n"
+        )
 
     def test_requires_seed_and_count(self):
         with pytest.raises(SystemExit):
