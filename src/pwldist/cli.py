@@ -53,7 +53,6 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
-
 _ROW_BLOCK = 4096  # CSV rows formatted per write
 
 
@@ -66,8 +65,6 @@ def seeded_uniforms(seed: int, n: int) -> np.ndarray:
     whose products wrap mod 2^64 exactly as the recurrence does.
     """
     n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
     mult = np.empty(n, dtype=np.uint64)
     inc = np.empty(n, dtype=np.uint64)
     mult[:1], inc[:1] = _LCG_MULT, _LCG_INC

@@ -16,6 +16,8 @@ from pwldist import cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+# A triangular spec whose 'b' is an integer beyond the float range.
+HUGE_B_SPEC = '{"kind": "triangular", "a": 0, "c": 1, "b": ' + "9" * 400 + "}"
 
 
 def _spec(**payload):
@@ -114,9 +116,8 @@ class TestParseSpec:
             cli.parse_spec(text)
 
     def test_rejects_integer_beyond_float_range(self):
-        text = '{"kind": "triangular", "a": 0, "c": 1, "b": ' + "9" * 400 + "}"
         with pytest.raises(pw.SchemaError, match="field 'b' must be finite"):
-            cli.parse_spec(text)
+            cli.parse_spec(HUGE_B_SPEC)
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(pw.ParseError, match="line 1"):
@@ -186,9 +187,7 @@ class TestValidateCommand:
 
     def test_integer_beyond_float_range(self, tmp_path, capsys):
         spec = tmp_path / "huge.json"
-        spec.write_text(
-            '{"kind": "triangular", "a": 0, "c": 1, "b": ' + "9" * 400 + "}"
-        )
+        spec.write_text(HUGE_B_SPEC)
         rc = cli.main(["validate", str(spec)])
         assert rc == 1
         assert capsys.readouterr().err == "error: field 'b' must be finite\n"
@@ -350,7 +349,6 @@ class TestEvalCommand:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
-
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("what", ["pdf", "cdf"])
