@@ -106,9 +106,24 @@ def _as_number(value, field: str) -> float:
     return value
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _as_number_list(value, field: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise SchemaError(f"field '{field}' must be a non-empty array")
+    # The usual case, plain numbers whose sum is finite (so each one is), is
+    # checked in bulk.  On anything else the per-item loop raises the error
+    # the first bad item deserves, or converts finite numbers whose sum
+    # overflowed.
+    if set(map(type, value)) <= _NUMBER_TYPES:
+        try:
+            numbers = list(map(float, value))
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if math.isfinite(sum(numbers)):
+                return numbers
     return [_as_number(item, field) for item in value]
 
 

@@ -21,6 +21,7 @@ and a density is considered normalized when that mass is 1 within
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,24 @@ from .errors import (
     ZeroMassError,
 )
 
+# The package's tolerances, all in one place:
+#
+# =====================  ======  ==============================================
+# NORMALIZATION_RTOL     1e-9    ``|mass - 1|`` within which a density counts
+#                                as normalized
+# _MEDIAN_ATTAINED_ATOL  1e-9    ``|F(v) - 1/2|`` within which a median-set end
+#                                counts as attained (order_stats.median_set)
+# _LINEAR_SOLVE_RTOL     1e-14   the inverse-cdf solve takes the linear root
+#                                when ``|alpha| <= this * |beta|``
+# _MODE_RTOL             1e-12   a candidate ties with ``f_sup`` when within
+#                                this times ``max(|f_sup|, _MODE_RTOL_FLOOR)``
+# _MODE_RTOL_FLOOR       1e-300  that scale's floor, so ``f_sup = 0`` still ties
+# =====================  ======  ==============================================
 NORMALIZATION_RTOL = 1e-9
+_MEDIAN_ATTAINED_ATOL = 1e-9
+_LINEAR_SOLVE_RTOL = 1e-14
+_MODE_RTOL = 1e-12
+_MODE_RTOL_FLOOR = 1e-300
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -48,9 +66,11 @@ def _frozen_array(values, name: str) -> np.ndarray:
 
 
 def _check_nonnegative(arr: np.ndarray, name: str) -> None:
-    # NaNs fail the comparison as well, so this also rejects non-finite junk.
+    # min and max propagate NaN, so a NaN fails this test as well.
+    if arr.size and arr.min() >= 0.0 and arr.max() < math.inf:
+        return
     ok = np.isfinite(arr) & (arr >= 0.0)
-    if not np.all(ok):
+    if not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
         raise NegativeValueError(
             f"{name}[{bad}] = {arr[bad]} (must be finite and >= 0)"
@@ -73,9 +93,11 @@ class Grid:
         c = _frozen_array(self.breakpoints, "breakpoints")
         if c.size < 2:
             raise EmptySupportError("need at least two breakpoints")
-        if not np.all(np.isfinite(c)):
-            raise DensityError("breakpoints must be finite")
-        if not np.all(np.diff(c) >= 0.0):
+        # Nondecreasing and finite at both ends means finite throughout; NaN
+        # fails the order test.  Non-finite values are reported first.
+        if not ((c[1:] >= c[:-1]).all() and -math.inf < c[0] and c[-1] < math.inf):
+            if not np.isfinite(c).all():
+                raise DensityError("breakpoints must be finite")
             raise NotNondecreasingError("breakpoints must be nondecreasing")
         if not c[0] < c[-1]:
             raise EmptySupportError("support has zero length")
@@ -96,11 +118,13 @@ class Grid:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
+        c = self.breakpoints
+        return c[1:] - c[:-1]
 
     @property
     def is_strict(self) -> bool:
-        return bool(np.all(np.diff(self.breakpoints) > 0.0))
+        c = self.breakpoints
+        return bool((c[1:] > c[:-1]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +184,9 @@ class PiecewiseLinearDensity:
                 )
             _check_nonnegative(pv, "point_values")
         # Canonical form: drop the zero-length pieces (see the class docstring).
-        keep = self.grid.widths > 0.0
-        if not np.all(keep):
+        c = self.grid.breakpoints
+        keep = c[1:] > c[:-1]
+        if not keep.all():
             first_of_group = np.concatenate(([True], keep))
             object.__setattr__(
                 self, "grid", Grid(self.grid.breakpoints[first_of_group])
@@ -182,13 +207,14 @@ class PiecewiseLinearDensity:
     @cached_property
     def _mass(self) -> float:
         return float(
-            np.sum((self.right_limits + self.left_limits) * self.grid.widths) / 2.0
+            ((self.right_limits + self.left_limits) * self.grid.widths).sum() / 2.0
         )
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
         masses = (self.right_limits + self.left_limits) * self.grid.widths / 2.0
-        cumulative = np.concatenate(([0.0], np.cumsum(masses)))
+        cumulative = np.zeros(masses.size + 1)
+        masses.cumsum(out=cumulative[1:])
         cumulative.setflags(write=False)
         return cumulative
 

@@ -39,12 +39,12 @@ def piece_index(g: Grid, x):
     """
     c = g.breakpoints
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < c[0]) or np.any(xs > c[-1]) or not np.all(np.isfinite(xs)):
+    if (xs < c[0]).any() or (xs > c[-1]).any() or not np.isfinite(xs).all():
         raise OutOfSupportError(
             f"x outside support [{g.a}, {g.b}]"
         )
-    j = np.searchsorted(c, xs, side="right") - 1
-    j = np.clip(j, 0, c.size - 2)
+    # Counting c_1 ... c_n at or below x gives j, capped at n, directly.
+    j = c[1:-1].searchsorted(xs, side="right")
     return int(j) if xs.ndim == 0 else j
 
 
@@ -76,36 +76,51 @@ def _values_at_breakpoints(
     return np.maximum(left, right)
 
 
-def _interp_values(d: PiecewiseLinearDensity, xs: np.ndarray, j: np.ndarray):
+def _interp(d: PiecewiseLinearDensity, xs: np.ndarray, j: np.ndarray):
+    """The offset ``h = x - c_j`` into piece ``j``, ``R_j``, and the density
+    interpolated linearly between ``R_j`` and ``L_{j+1}``."""
     c = d.breakpoints
-    t = (xs - c[j]) / (c[j + 1] - c[j])
-    return d.right_limits[j] * (1.0 - t) + d.left_limits[j] * t
+    lo = c[j]
+    h = xs - lo
+    t = h / (c[j + 1] - lo)
+    right = d.right_limits[j]
+    return h, right, right * (1.0 - t) + d.left_limits[j] * t
 
 
 def _locate(c: np.ndarray, x):
-    """``x`` as a 1-d array, whether it was a scalar, its piece index (no
-    support check), and the index and mask of exact breakpoint hits."""
+    """``x`` as a 1-d array, whether it was a scalar, the index ``i`` of the
+    last breakpoint at or below it (``c_0`` below the support), its piece
+    ``j`` (``i`` capped at ``n``), and the masks of exact breakpoint hits
+    and of values outside the support.  Raises OutOfSupport for NaN.
+
+    The breakpoints are strictly increasing, so ``x`` sits on a breakpoint
+    exactly when it equals ``c_i``.
+    """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    j = np.clip(np.searchsorted(c, xs, side="right") - 1, 0, c.size - 2)
-    pos = np.clip(np.searchsorted(c, xs, side="left"), 0, c.size - 1)
-    return xs, scalar, j, pos, c[pos] == xs
+    if scalar:
+        xs = xs.reshape(1)
+    if np.isnan(xs).any():
+        raise OutOfSupportError("x is NaN, which lies in no support")
+    # Counting c_1 ... c_{n+1} at or below x gives i with no clamp below.
+    i = c[1:].searchsorted(xs, side="right")
+    j = np.minimum(i, c.size - 2)
+    at_breakpoint = c[i] == xs
+    outside = (xs < c[0]) | (xs > c[-1])
+    return xs, scalar, i, j, at_breakpoint, outside
 
 
 def pdf(d: PiecewiseLinearDensity, x, point_rule: str = "given"):
     """Density at ``x``: 0 outside the support, linear interpolation of
     ``(R_j, L_{j+1})`` strictly inside piece ``j``, and the point-value
-    convention exactly at breakpoints.  Accepts a scalar or an array.
+    convention exactly at breakpoints.  Accepts a scalar or an array;
+    raises OutOfSupport for NaN.
     """
-    c = d.breakpoints
-    xs, scalar, j, pos, at_breakpoint = _locate(c, x)
-    vals = _interp_values(d, xs, j)
-    vals[at_breakpoint] = _values_at_breakpoints(d, point_rule, pos[at_breakpoint])
-
-    inside = (xs >= c[0]) & (xs <= c[-1])
-    out = np.where(inside, vals, 0.0)
-    return float(out[0]) if scalar else out
+    xs, scalar, i, j, at_breakpoint, outside = _locate(d.breakpoints, x)
+    _, _, vals = _interp(d, xs, j)
+    vals[at_breakpoint] = _values_at_breakpoints(d, point_rule, i[at_breakpoint])
+    vals[outside] = 0.0
+    return float(vals[0]) if scalar else vals
 
 
 def cdf_table(d: PiecewiseLinearDensity) -> CdfTable:
@@ -121,18 +136,14 @@ def cdf(d: PiecewiseLinearDensity, x):
 
     0 for ``x <= c_0``, the total mass for ``x >= c_{n+1}``, and prefix
     mass plus the partial-piece trapezoid term in between; continuous and
-    nondecreasing.  Accepts a scalar or an array.
+    nondecreasing.  Accepts a scalar or an array; raises OutOfSupport for
+    NaN.
     """
-    c = d.breakpoints
     table = cdf_table(d).cumulative
-    xs, scalar, j, pos, at_breakpoint = _locate(c, x)
-    h = xs - c[j]
-    partial = h * (d.right_limits[j] + _interp_values(d, xs, j)) / 2.0
-    vals = table[j] + partial
-
-    # Exactly at a breakpoint, return the table entry itself.
-    vals = np.where(at_breakpoint, table[pos], vals)
-
-    vals = np.where(xs <= c[0], 0.0, vals)
-    vals = np.where(xs >= c[-1], table[-1], vals)
+    xs, scalar, i, j, at_breakpoint, outside = _locate(d.breakpoints, x)
+    h, right, f = _interp(d, xs, j)
+    vals = table[j] + h * (right + f) / 2.0
+    # On a breakpoint return the table entry itself; outside the support
+    # that entry is F(c_0) = 0 or F(c_{n+1}), the total mass.
+    vals = np.where(at_breakpoint | outside, table[i], vals)
     return float(vals[0]) if scalar else vals

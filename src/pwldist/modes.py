@@ -24,8 +24,9 @@ piece with R_i = L_{i+1} = f_sup).  Plateaus are emitted for every piece,
 including the outermost ones; this extends the source convention, which
 confines them to interior pieces, because the same argument applies.
 
-Equality against f_sup uses a relative tolerance of 1e-12 to absorb
-rounding in normalized heights.
+Equality against f_sup uses a relative tolerance of 1e-12
+(``density._MODE_RTOL``, with a scale floor of 1e-300) to absorb rounding
+in normalized heights.
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PiecewiseLinearDensity, PolygonalDensity
+from .density import (
+    _MODE_RTOL,
+    _MODE_RTOL_FLOOR,
+    PiecewiseLinearDensity,
+    PolygonalDensity,
+)
 from .evaluate import breakpoint_values
 
 CONVENTIONS = (
@@ -45,8 +51,6 @@ CONVENTIONS = (
 )
 
 DEFAULT_CONVENTION = "limits_only"
-
-_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,11 @@ def _candidate_values(d: PiecewiseLinearDensity, convention: str):
 def _supremum(left_full, right_full, pv, means, use_limits) -> float:
     best = 0.0
     if use_limits:
-        best = max(best, float(np.max(left_full)), float(np.max(right_full)))
+        best = max(best, float(left_full.max()), float(right_full.max()))
     if pv is not None:
-        best = max(best, float(np.max(pv)))
+        best = max(best, float(pv.max()))
     if means is not None:
-        best = max(best, float(np.max(means)))
+        best = max(best, float(means.max()))
     return best
 
 
@@ -106,7 +110,7 @@ def f_sup(d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION) -> fl
 
 def _near(values: np.ndarray, sup: float) -> np.ndarray:
     """Elementwise ``values == sup`` within the relative tolerance."""
-    return np.abs(values - sup) <= _REL_TOL * max(abs(sup), 1e-300)
+    return np.abs(values - sup) <= _MODE_RTOL * max(abs(sup), _MODE_RTOL_FLOOR)
 
 
 def mode_set(
@@ -123,14 +127,15 @@ def mode_set(
     sup = _supremum(*candidates)
     c = d.breakpoints
     missed = np.zeros(c.size, dtype=bool)
-    l_hit = _near(left_full, sup) if use_limits else missed
-    r_hit = _near(right_full, sup) if use_limits else missed
+    l_near, r_near = _near(left_full, sup), _near(right_full, sup)
+    l_hit = l_near if use_limits else missed
+    r_hit = r_near if use_limits else missed
     both = l_hit & r_hit
     pv_hit = _near(pv, sup) & ~both if pv is not None else missed
     mean_hit = _near(means, sup) if means is not None else missed
     # Piece i is a plateau when R_i and L_{i+1} both attain the supremum.
     plateau = missed.copy()
-    plateau[:-1] = _near(d.right_limits, sup) & _near(d.left_limits, sup)
+    plateau[:-1] = r_near[:-1] & l_near[1:]
     loci: list[ModeLocus] = []
     for i in np.flatnonzero(l_hit | r_hit | pv_hit | mean_hit | plateau).tolist():
         pos = float(c[i])
@@ -158,7 +163,7 @@ def mode_set_continuous(p: PolygonalDensity) -> ModeSet:
     """
     h = p.heights
     c = p.breakpoints
-    fmax = float(np.max(h[1:-1])) if h.size > 2 else 0.0
+    fmax = float(h[1:-1].max()) if h.size > 2 else 0.0
     hit = np.zeros(c.size, dtype=bool)
     hit[1:-1] = _near(h[1:-1], fmax)
     loci: list[ModeLocus] = []

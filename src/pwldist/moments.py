@@ -63,7 +63,7 @@ def _shifted_mean(d: PiecewiseLinearDensity):
     c = d.breakpoints - c0
     lo, hi = c[:-1], c[1:]
     terms = d.right_limits * (2.0 * lo + hi) + d.left_limits * (lo + 2.0 * hi)
-    return c0, c, np.sum((hi - lo) * terms) / 6.0 / raw_mass(d)
+    return c0, c, ((hi - lo) * terms).sum() / 6.0 / raw_mass(d)
 
 
 def mean(d: PiecewiseLinearDensity) -> float:
@@ -82,7 +82,7 @@ def variance(d: PiecewiseLinearDensity) -> float:
     l_term = d.left_limits * (
         3.0 * hi * hi + 2.0 * hi * lo + lo * lo - 8.0 * mu * hi - 4.0 * mu * lo + 6.0 * mu * mu
     )
-    return float(np.sum((hi - lo) * (r_term + l_term)) / 12.0 / raw_mass(d))
+    return float(((hi - lo) * (r_term + l_term)).sum() / 12.0 / raw_mass(d))
 
 
 def _shifted_mean_polygonal(p: PolygonalDensity):
@@ -94,7 +94,7 @@ def _shifted_mean_polygonal(p: PolygonalDensity):
     c = p.breakpoints - c0
     h, nxt, cur, prv = p.heights[1:-1], c[2:], c[1:-1], c[:-2]
     mass = raw_mass(d)
-    mu = np.sum(h * (nxt - prv) * (nxt + cur + prv)) / 6.0 / mass
+    mu = (h * (nxt - prv) * (nxt + cur + prv)).sum() / 6.0 / mass
     return c0, mass, mu, (h, nxt, cur, prv)
 
 
@@ -113,7 +113,7 @@ def variance_polygonal(p: PolygonalDensity) -> float:
         - 4.0 * mu * (nxt + cur + prv)
         + 6.0 * mu * mu
     )
-    return float(np.sum(h * (nxt - prv) * poly) / 12.0 / mass)
+    return float((h * (nxt - prv) * poly).sum() / 12.0 / mass)
 
 
 # Pieces per block in _moment_sums: a block's temporaries stay in cache,
@@ -134,9 +134,11 @@ def _moment_sums(d: PiecewiseLinearDensity, c: np.ndarray, orders) -> list[float
 
     and the piece contributes ``sum_k binom(m, k) mid^{m-k} seg_k``.  That
     polynomial in ``mid`` is evaluated by Horner's rule, one accumulator per
-    order, ``acc = acc * mid + binom(m, k) seg_k`` for k = 0 ... m, with the
-    powers of ``w/2`` kept as a running product: no array power, and a fixed
-    number of temporaries of at most ``_BLOCK`` pieces whatever the order.
+    order, ``acc = acc * mid + binom(m, k) seg_k`` for k = 1 ... m from
+    ``acc = seg_0``, with the powers of ``w/2`` kept as a running product: no
+    array power, and a fixed number of temporaries of at most ``_BLOCK``
+    pieces whatever the order.  Starting from ``seg_0`` and adding ``seg_k``
+    itself where ``binom(m, k) = 1`` skip only exact steps.
     """
     rr, ll = d.right_limits, d.left_limits
     sums = [0.0] * len(orders)
@@ -149,8 +151,9 @@ def _moment_sums(d: PiecewiseLinearDensity, c: np.ndarray, orders) -> list[float
         q = (ll[start:stop] - rr[start:stop]) / w
         half_sq = half * half
         power = half  # (w/2)^{k+1} for even k, (w/2)^{k+2} for odd k
-        accs = [np.zeros_like(mid) for _ in orders]
-        for k in range(max(orders) + 1):
+        seg = p * power * 2.0
+        accs = [seg] + [seg.copy() for _ in orders[1:]]
+        for k in range(1, max(orders) + 1):
             if k % 2 == 0:
                 seg = p * power * (2.0 / (k + 1))
             else:
@@ -159,9 +162,10 @@ def _moment_sums(d: PiecewiseLinearDensity, c: np.ndarray, orders) -> list[float
             for acc, m in zip(accs, orders):
                 if k <= m:
                     acc *= mid
-                    acc += math.comb(m, k) * seg
+                    binom = math.comb(m, k)
+                    acc += seg if binom == 1 else binom * seg
         for i, acc in enumerate(accs):
-            sums[i] += float(np.sum(acc))
+            sums[i] += float(acc.sum())
     return sums
 
 

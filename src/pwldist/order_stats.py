@@ -3,10 +3,12 @@
 The CDF of a piecewise-linear density is continuous and nondecreasing but
 not necessarily strictly increasing: it is flat across zero-density pieces.
 A probability level therefore has a whole preimage interval.  One kernel,
-``_inverse_cdf``, finds either end of it for an array of levels: it locates
-the first (lower end) or last (upper end) piece whose cumulative-mass
-bracket holds the level and solves that piece's quadratic ``F(v) = p``.
-Preimages, point quantiles, the median set, and sampling all use it.
+``_inverse_cdf``, finds an end of it for each of an array of levels, the
+lower or the upper end as flagged per level: it locates the first (lower
+end) or last (upper end) piece whose cumulative-mass bracket holds the
+level and solves that piece's quadratic ``F(v) = p``.  A preimage, and so
+the median set, is one call over ``[p, p]``; point quantiles and sampling
+use it too.
 
 The level is first clamped to the total mass, which may fall short of 1 by
 up to ``NORMALIZATION_RTOL``; the search then always ends on a piece of
@@ -19,9 +21,10 @@ Restricted to piece j, with ``h = v - c_j``, ``w`` the piece width, and
 
     alpha h^2 + beta h - q = 0,   alpha = (L_{j+1} - R_j) / (2w),  beta = R_j.
 
-When ``|alpha| <= 1e-14 |beta|`` the linear solution ``h = q / beta`` is
-used; otherwise ``h = 2q / (beta + sqrt(beta^2 + 4 alpha q))``, which is the
-root selected by the standard stable formula (divide the constant term by
+When ``|alpha| <= 1e-14 |beta|`` (``density._LINEAR_SOLVE_RTOL``) the
+linear solution ``h = q / beta`` is used; otherwise
+``h = 2q / (beta + sqrt(beta^2 + 4 alpha q))``, which is the root selected
+by the standard stable formula (divide the constant term by
 ``-(beta + sign(beta) sqrt(disc)) / 2``) and is the one inside ``[0, w]``:
 within a positive-mass piece the density is strictly positive on the open
 piece, so F restricted to it is strictly increasing and the root is unique.
@@ -33,7 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PiecewiseLinearDensity, require_normalized
+from .density import (
+    _LINEAR_SOLVE_RTOL,
+    _MEDIAN_ATTAINED_ATOL,
+    PiecewiseLinearDensity,
+    require_normalized,
+)
 from .errors import BadProbabilityError
 from .evaluate import cdf, cdf_table
 
@@ -59,18 +67,27 @@ class QuantilePreimage:
     p: float
 
 
-def _inverse_cdf(d: PiecewiseLinearDensity, p, side: str) -> np.ndarray:
-    """Lower (infimum) or upper (supremum) end of ``{x : F(x) = p}``.
+def _inverse_cdf(d: PiecewiseLinearDensity, p, upper) -> np.ndarray:
+    """Ends of ``{x : F(x) = p}``, elementwise over ``p``: the upper
+    (supremum) end where ``upper`` is true, else the lower (infimum) end.
 
-    Elementwise over ``p``; ``side`` is ``"lower"`` or ``"upper"``.
+    ``upper`` is one flag for every level or an array of flags, one per
+    level, so a single call over ``[p, p]`` solves both ends of a preimage.
+    ``upper=False`` skips the upper-end steps altogether.
     """
     c = d.breakpoints
     table = cdf_table(d).cumulative
     mass = table[-1]
-    p = np.minimum(np.asarray(p, dtype=float), mass)
-    j = np.searchsorted(table, p, side="left" if side == "lower" else "right")
-    j = np.clip(j - 1, 0, c.size - 2)
-    w = c[j + 1] - c[j]
+    p = np.minimum(p, mass)
+    key = p
+    if upper is not False:
+        # The last piece starting at or below p (searchsorted side="right")
+        # is the last one starting strictly below the next float above p.
+        key = np.where(upper, np.nextafter(p, np.inf), p)
+    # Counting F(c_1) ... F(c_n) below the key gives j, in 0 ... n, directly.
+    j = table[1:-1].searchsorted(key)
+    lo = c[j]
+    w = c[j + 1] - lo
     beta = d.right_limits[j]
     alpha = (d.left_limits[j] - beta) / (2.0 * w)
     q = p - table[j]
@@ -78,12 +95,21 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p, side: str) -> np.ndarray:
         h_lin = q / beta
         disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
         h_quad = 2.0 * q / (beta + np.sqrt(disc))
-    h = np.where(np.abs(alpha) <= 1e-14 * np.abs(beta), h_lin, h_quad)
+    # beta >= 0, so |beta| is beta up to the sign of a zero.
+    h = np.where(np.abs(alpha) <= _LINEAR_SOLVE_RTOL * beta, h_lin, h_quad)
     h = np.where(q <= 0.0, 0.0, h)
-    x = c[j] + np.clip(h, 0.0, w)
-    if side == "upper":
-        x = np.where(p >= min(mass, 1.0), c[-1], x)
+    x = lo + np.minimum(np.maximum(h, 0.0), w)
+    if upper is not False:
+        x = np.where(upper & (p >= min(mass, 1.0)), c[-1], x)
     return x
+
+
+_BOTH_ENDS = np.array([False, True])
+
+
+def _preimage_ends(d: PiecewiseLinearDensity, p: float) -> list[float]:
+    """``[lower, upper]`` ends of ``{x : F(x) = p}``, from one solve."""
+    return _inverse_cdf(d, (p, p), _BOTH_ENDS).tolist()
 
 
 def _checked_level(d: PiecewiseLinearDensity, p: float) -> float:
@@ -102,8 +128,7 @@ def quantile_preimage(d: PiecewiseLinearDensity, p: float) -> QuantilePreimage:
     ``p`` at or above the total mass, the upper end is the support supremum.
     """
     p = _checked_level(d, p)
-    lower = float(_inverse_cdf(d, p, "lower"))
-    upper = float(_inverse_cdf(d, p, "upper"))
+    lower, upper = _preimage_ends(d, p)
     return QuantilePreimage(lower=lower, upper=upper, p=p)
 
 
@@ -114,11 +139,11 @@ def quantile(d: PiecewiseLinearDensity, p: float, rule: str = "inf") -> float:
     """
     if rule not in QUANTILE_RULES:
         raise ValueError(f"rule must be one of {QUANTILE_RULES}")
-    if rule == "mid":
-        pre = quantile_preimage(d, p)
-        return (pre.lower + pre.upper) / 2.0
     p = _checked_level(d, p)
-    return float(_inverse_cdf(d, p, "lower" if rule == "inf" else "upper"))
+    if rule == "mid":
+        lower, upper = _preimage_ends(d, p)
+        return (lower + upper) / 2.0
+    return float(_inverse_cdf(d, p, rule == "sup"))
 
 
 def median_set(d: PiecewiseLinearDensity) -> MedianSet:
@@ -127,16 +152,16 @@ def median_set(d: PiecewiseLinearDensity) -> MedianSet:
     A nondegenerate interval appears exactly when the density vanishes
     almost everywhere between the endpoints.  F is continuous here, so the
     endpoints themselves always satisfy F = 1/2; the flags record that the
-    bounds are attained, checked against the computed CDF.
+    bounds are attained, checked against the computed CDF at both ends in
+    one call.
     """
     pre = quantile_preimage(d, 0.5)
-    min_attained = bool(abs(cdf(d, pre.lower) - 0.5) <= 1e-9)
-    max_attained = bool(abs(cdf(d, pre.upper) - 0.5) <= 1e-9)
+    f_lower, f_upper = cdf(d, [pre.lower, pre.upper]).tolist()
     return MedianSet(
         v_min=pre.lower,
         v_max=pre.upper,
-        min_attained=min_attained,
-        max_attained=max_attained,
+        min_attained=abs(f_lower - 0.5) <= _MEDIAN_ATTAINED_ATOL,
+        max_attained=abs(f_upper - 0.5) <= _MEDIAN_ATTAINED_ATOL,
     )
 
 
@@ -147,7 +172,8 @@ def sample(d: PiecewiseLinearDensity, uniforms) -> np.ndarray:
     engine owns no randomness, so identical inputs give identical outputs.
     """
     u = np.asarray(uniforms, dtype=float)
-    if u.size and (np.any(u < 0.0) or np.any(u >= 1.0) or not np.all(np.isfinite(u))):
+    # NaN fails both tests and each infinity fails one.
+    if not ((u >= 0.0) & (u < 1.0)).all():
         raise BadProbabilityError("uniform variates must lie in [0, 1)")
     require_normalized(d)
-    return _inverse_cdf(d, u, "lower")
+    return _inverse_cdf(d, u, False)

@@ -119,6 +119,28 @@ class TestParseSpec:
         with pytest.raises(pw.SchemaError, match="field 'b' must be finite"):
             cli.parse_spec(HUGE_B_SPEC)
 
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ('[0, Infinity, "x"]', "field 'breakpoints' must be finite"),
+            ('[0, "x", Infinity]', "field 'breakpoints' must be a number"),
+            ("[0, true, 2]", "field 'breakpoints' must be a number"),
+            ("[0.5, " + "9" * 400 + ", 1.5]", "field 'breakpoints' must be finite"),
+            ("[-" + "9" * 400 + ", " + "9" * 400 + ", 1.5]",
+             "field 'breakpoints' must be finite"),
+            # Finite numbers whose sum overflows reach the density checks.
+            ("[1e308, 1e308, 1.5]", "breakpoints must be nondecreasing"),
+        ],
+    )
+    def test_first_bad_item_names_the_error(self, items, message):
+        text = (
+            '{"kind": "piecewise_linear", "breakpoints": ' + items
+            + ', "right_limits": [1, 1], "left_limits": [1, 1]}'
+        )
+        with pytest.raises(pw.SchemaError) as err:
+            cli.parse_spec(text)
+        assert str(err.value) == message
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(pw.ParseError, match="line 1"):
             cli.parse_spec('{"kind": "triangular",')

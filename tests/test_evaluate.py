@@ -202,3 +202,22 @@ def test_cdf_vector_matches_scalar():
     d = _step()
     xs = np.linspace(-1, 3, 33)
     assert_allclose(pw.cdf(d, xs), [pw.cdf(d, float(x)) for x in xs], rtol=1e-15)
+
+
+def test_nan_raises_and_infinities_keep_their_limits():
+    d = _step()
+    for fn in (pw.pdf, pw.cdf):
+        with pytest.raises(pw.OutOfSupportError):
+            fn(d, np.nan)
+        with pytest.raises(pw.OutOfSupportError):
+            fn(d, [0.5, np.nan, 1.5])
+    # The interpolant at an infinity is a NaN, discarded by the support test.
+    with np.errstate(invalid="ignore"):
+        assert pw.pdf(d, -np.inf) == 0.0
+        assert pw.pdf(d, np.inf) == 0.0
+        assert_array_equal(pw.pdf(d, [-np.inf, 0.5, np.inf]), [0.0, 0.75, 0.0])
+        assert pw.cdf(d, -np.inf) == 0.0
+        assert pw.cdf(d, np.inf) == pw.raw_mass(d)
+        assert_array_equal(
+            pw.cdf(d, [-np.inf, 1.0, np.inf]), [0.0, 0.75, pw.raw_mass(d)]
+        )

@@ -128,6 +128,12 @@ class TestQuantile:
                 assert pw.quantile(d, p, "inf") == pre.lower
                 assert pw.quantile(d, p, "sup") == pre.upper
                 assert pw.quantile(d, p, "mid") == (pre.lower + pre.upper) / 2.0
+            # The median set is the preimage at 1/2; its flags are the scalar
+            # cdf test at each end.
+            ms, pre = pw.median_set(d), pw.quantile_preimage(d, 0.5)
+            assert repr((ms.v_min, ms.v_max)) == repr((pre.lower, pre.upper))
+            assert ms.min_attained == (abs(pw.cdf(d, pre.lower) - 0.5) <= 1e-9)
+            assert ms.max_attained == (abs(pw.cdf(d, pre.upper) - 0.5) <= 1e-9)
             checked += 1
 
     def test_checks_apply_under_every_rule(self):
