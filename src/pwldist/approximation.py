@@ -37,16 +37,12 @@ class FitRequest:
     clamp_ends: bool = True
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
+        object.__setattr__(self, "ys", np.asarray(self.ys, dtype=float))
 
     @classmethod
     def from_points(cls, xs, ys, clamp_ends: bool = True) -> "FitRequest":
-        return cls(xs=np.asarray(xs, dtype=float),
-                   ys=np.asarray(ys, dtype=float),
-                   clamp_ends=clamp_ends)
+        return cls(xs, ys, clamp_ends)
 
     @classmethod
     def from_function(

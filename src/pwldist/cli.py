@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -202,9 +203,17 @@ def parse_spec(text: str) -> DistributionSpecFile:
         raise SchemaError(str(exc)) from exc
 
 
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The file's text; bytes that are not UTF-8 are a ParseError."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load(path: str) -> DistributionSpecFile:
-    with open(path, encoding="utf-8") as handle:
-        return parse_spec(handle.read())
+    return parse_spec(_read_text(path))
 
 
 def _fmt(x: float, exact: bool) -> str:
@@ -387,22 +396,22 @@ def cmd_sample(args) -> int:
 def _read_xy_csv(path: str) -> tuple[list[float], list[float]]:
     xs: list[float] = []
     ys: list[float] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
+    lines = io.StringIO(_read_text(path, newline=""), newline="")
+    for lineno, row in enumerate(csv.reader(lines), start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 2:
+            raise ParseError(
+                f"line {lineno}: expected two columns, got {len(row)}"
+            )
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            if lineno == 1:
                 continue
-            if len(row) != 2:
-                raise ParseError(
-                    f"line {lineno}: expected two columns, got {len(row)}"
-                )
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise ParseError(f"line {lineno}: non-numeric value") from None
-            xs.append(x)
-            ys.append(y)
+            raise ParseError(f"line {lineno}: non-numeric value") from None
+        xs.append(x)
+        ys.append(y)
     return xs, ys
 
 
@@ -509,10 +518,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DensityError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (DensityError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

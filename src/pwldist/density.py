@@ -44,15 +44,12 @@ from .errors import (
 #                                as normalized
 # _MEDIAN_ATTAINED_ATOL  1e-9    ``|F(v) - 1/2|`` within which a median-set end
 #                                counts as attained (order_stats.median_set)
-# _LINEAR_SOLVE_RTOL     1e-14   the inverse-cdf solve takes the linear root
-#                                when ``|alpha| <= this * |beta|``
 # _MODE_RTOL             1e-12   a candidate ties with ``f_sup`` when within
 #                                this times ``max(|f_sup|, _MODE_RTOL_FLOOR)``
 # _MODE_RTOL_FLOOR       1e-300  that scale's floor, so ``f_sup = 0`` still ties
 # =====================  ======  ==============================================
 NORMALIZATION_RTOL = 1e-9
 _MEDIAN_ATTAINED_ATOL = 1e-9
-_LINEAR_SOLVE_RTOL = 1e-14
 _MODE_RTOL = 1e-12
 _MODE_RTOL_FLOOR = 1e-300
 
@@ -319,11 +316,7 @@ def normalize(
     if not mass > 0.0:
         raise ZeroMassError("density integrates to zero; nothing to normalize")
     k = 1.0 / mass
-    pv = None if d.point_values is None else d.point_values * k
-    scaled = PiecewiseLinearDensity(
-        d.grid, d.right_limits * k, d.left_limits * k, pv
-    )
-    return scaled, NormalizationReport(raw_mass=mass, factor_k=k)
+    return scale(d, k), NormalizationReport(raw_mass=mass, factor_k=k)
 
 
 def promote(p: PolygonalDensity) -> PiecewiseLinearDensity:

@@ -88,13 +88,12 @@ def _interp(d: PiecewiseLinearDensity, xs: np.ndarray, j: np.ndarray):
 
 
 def _locate(c: np.ndarray, x):
-    """``x`` as a 1-d array, whether it was a scalar, the index ``i`` of the
-    last breakpoint at or below it (``c_0`` below the support), its piece
-    ``j`` (``i`` capped at ``n``), and the masks of exact breakpoint hits
-    and of values outside the support.  Raises OutOfSupport for NaN.
-
-    The breakpoints are strictly increasing, so ``x`` sits on a breakpoint
-    exactly when it equals ``c_i``.
+    """``x`` as a 1-d array clamped to the support, so that no infinity
+    reaches the interpolation, whether it was a scalar, the index ``i`` of
+    the last breakpoint at or below it, its piece ``j`` (``i`` capped at
+    ``n``), and the masks of exact breakpoint hits (clamped values among
+    them) and of values outside the support.  Raises OutOfSupport for NaN.
+    Breakpoints are strictly increasing, so a hit is ``x == c_i``.
     """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
@@ -102,12 +101,11 @@ def _locate(c: np.ndarray, x):
         xs = xs.reshape(1)
     if np.isnan(xs).any():
         raise OutOfSupportError("x is NaN, which lies in no support")
-    # Counting c_1 ... c_{n+1} at or below x gives i with no clamp below.
-    i = c[1:].searchsorted(xs, side="right")
+    inside = xs.clip(c[0], c[-1])
+    # Counting c_1 ... c_{n+1} at or below x gives i, in 0 ... n+1, directly.
+    i = c[1:].searchsorted(inside, side="right")
     j = np.minimum(i, c.size - 2)
-    at_breakpoint = c[i] == xs
-    outside = (xs < c[0]) | (xs > c[-1])
-    return xs, scalar, i, j, at_breakpoint, outside
+    return inside, scalar, i, j, c[i] == inside, inside != xs
 
 
 def pdf(d: PiecewiseLinearDensity, x, point_rule: str = "given"):
@@ -140,10 +138,10 @@ def cdf(d: PiecewiseLinearDensity, x):
     NaN.
     """
     table = cdf_table(d).cumulative
-    xs, scalar, i, j, at_breakpoint, outside = _locate(d.breakpoints, x)
+    xs, scalar, i, j, at_breakpoint, _ = _locate(d.breakpoints, x)
     h, right, f = _interp(d, xs, j)
     vals = table[j] + h * (right + f) / 2.0
-    # On a breakpoint return the table entry itself; outside the support
-    # that entry is F(c_0) = 0 or F(c_{n+1}), the total mass.
-    vals = np.where(at_breakpoint | outside, table[i], vals)
+    # On a breakpoint return the table entry itself; a value outside the
+    # support sits on c_0 or c_{n+1}, whose entry is 0 or the total mass.
+    vals = np.where(at_breakpoint, table[i], vals)
     return float(vals[0]) if scalar else vals

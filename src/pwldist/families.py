@@ -269,7 +269,7 @@ def tetragonal_stats(params: TetragonalParams) -> TetragonalStats:
     """Closed-form mean, variance, median, and mode set; needs normalization.
 
     Modes follow the height trichotomy: C > D gives c, C < D gives d, and
-    C = D gives both plateau edges.
+    C = D gives both plateau edges, which are one mode when c = d.
     """
     if abs(params.normalization_defect) > NORMALIZATION_RTOL:
         raise NotNormalizedError(
@@ -293,10 +293,8 @@ def tetragonal_stats(params: TetragonalParams) -> TetragonalStats:
         )
     ) / 12.0
     median = _tetragonal_median(params)
-    if big_c > big_d:
-        modes: tuple[float, ...] = (c,)
-    elif big_c < big_d:
-        modes = (d,)
+    if big_c == big_d:
+        modes: tuple[float, ...] = (c, d) if c < d else (c,)
     else:
-        modes = (c, d)
+        modes = (c,) if big_c > big_d else (d,)
     return TetragonalStats(mean=mean, variance=variance, median=median, modes=modes)

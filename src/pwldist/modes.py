@@ -159,16 +159,23 @@ def mode_set_continuous(p: PolygonalDensity) -> ModeSet:
 
     The maximum runs over the interior vertices; adjacent argmax vertices
     are joined by their plateau piece, so a maximal run of them reads as a
-    closed interval (its endpoints are the point loci).
+    closed interval (its endpoints are the point loci).  Argmax vertices on
+    coincident breakpoints are one point, with no zero-length plateau.
     """
     h = p.heights
     c = p.breakpoints
     fmax = float(h[1:-1].max()) if h.size > 2 else 0.0
     hit = np.zeros(c.size, dtype=bool)
     hit[1:-1] = _near(h[1:-1], fmax)
+    # A plateau joins two hit vertices; on a zero-length piece they are one.
+    empty = c[1:] == c[:-1]
+    point = hit.copy()
+    point[1:] &= ~(hit[:-1] & empty)
+    plateau = np.append(hit[:-1] & hit[1:] & ~empty, False)
     loci: list[ModeLocus] = []
-    for i in np.flatnonzero(hit).tolist():
-        loci.append(ModeLocus("point", float(c[i])))
-        if hit[i + 1]:
+    for i in np.flatnonzero(point | plateau).tolist():
+        if point[i]:
+            loci.append(ModeLocus("point", float(c[i])))
+        if plateau[i]:
             loci.append(ModeLocus("open-interval", float(c[i]), float(c[i + 1])))
     return ModeSet(f_sup=fmax, convention="continuous", loci=tuple(loci))

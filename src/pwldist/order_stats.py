@@ -21,13 +21,14 @@ Restricted to piece j, with ``h = v - c_j``, ``w`` the piece width, and
 
     alpha h^2 + beta h - q = 0,   alpha = (L_{j+1} - R_j) / (2w),  beta = R_j.
 
-When ``|alpha| <= 1e-14 |beta|`` (``density._LINEAR_SOLVE_RTOL``) the
-linear solution ``h = q / beta`` is used; otherwise
-``h = 2q / (beta + sqrt(beta^2 + 4 alpha q))``, which is the root selected
-by the standard stable formula (divide the constant term by
-``-(beta + sign(beta) sqrt(disc)) / 2``) and is the one inside ``[0, w]``:
-within a positive-mass piece the density is strictly positive on the open
-piece, so F restricted to it is strictly increasing and the root is unique.
+Every piece takes the root ``h = 2q / (beta + sqrt(beta^2 + 4 alpha q))``,
+the one the stable formula selects and the one inside ``[0, w]``: F is
+strictly increasing on a positive-mass piece, so the root is unique; a flat
+piece (``alpha = 0``) gets exactly ``q / beta``.  ``h`` is solved for in
+units of ``2**e``, ``e`` the binary exponent of ``w``, where every term is
+about the size of the piece's mass, so no support width overflows it.
+Scaling by a power of two is exact, so the bits are those of absolute units
+wherever those do not overflow.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (
-    _LINEAR_SOLVE_RTOL,
     _MEDIAN_ATTAINED_ATOL,
     PiecewiseLinearDensity,
     require_normalized,
@@ -88,15 +88,16 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p, upper) -> np.ndarray:
     j = table[1:-1].searchsorted(key)
     lo = c[j]
     w = c[j + 1] - lo
-    beta = d.right_limits[j]
-    alpha = (d.left_limits[j] - beta) / (2.0 * w)
+    # w = m * 2**e with 1/2 <= m < 1, so unit = w / m is 2**e exactly.
+    m = np.frexp(w)[0]
+    unit = w / m
+    right = d.right_limits[j]
+    beta = right * unit
+    alpha = (d.left_limits[j] - right) * unit / (2.0 * m)
     q = p - table[j]
     with np.errstate(divide="ignore", invalid="ignore"):
-        h_lin = q / beta
         disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
-        h_quad = 2.0 * q / (beta + np.sqrt(disc))
-    # beta >= 0, so |beta| is beta up to the sign of a zero.
-    h = np.where(np.abs(alpha) <= _LINEAR_SOLVE_RTOL * beta, h_lin, h_quad)
+        h = 2.0 * q / (beta + np.sqrt(disc)) * unit
     h = np.where(q <= 0.0, 0.0, h)
     x = lo + np.minimum(np.maximum(h, 0.0), w)
     if upper is not False:

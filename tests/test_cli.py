@@ -219,6 +219,17 @@ class TestValidateCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["validate", "stats", "median"])
+    def test_file_that_is_not_utf8(self, command, tmp_path, capsys):
+        spec = tmp_path / "utf16.json"
+        text = _spec(kind="triangular", a=0, c=0.5, b=1)
+        spec.write_bytes(b"\xff\xfe" + text.encode())
+        rc = cli.main([command, str(spec)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {spec}: not UTF-8 text (invalid start byte)\n"
+        )
+
     def test_no_arguments_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -620,3 +631,12 @@ class TestFitCommand:
         rc = cli.main(["fit", str(curve)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_csv_that_is_not_utf8(self, tmp_path, capsys):
+        curve = tmp_path / "utf16.csv"
+        curve.write_bytes(b"\xff\xfe0,0\n0.5,1\n1,0\n")
+        rc = cli.main(["fit", str(curve)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {curve}: not UTF-8 text (invalid start byte)\n"
+        )

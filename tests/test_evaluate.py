@@ -211,13 +211,20 @@ def test_nan_raises_and_infinities_keep_their_limits():
             fn(d, np.nan)
         with pytest.raises(pw.OutOfSupportError):
             fn(d, [0.5, np.nan, 1.5])
-    # The interpolant at an infinity is a NaN, discarded by the support test.
-    with np.errstate(invalid="ignore"):
-        assert pw.pdf(d, -np.inf) == 0.0
-        assert pw.pdf(d, np.inf) == 0.0
-        assert_array_equal(pw.pdf(d, [-np.inf, 0.5, np.inf]), [0.0, 0.75, 0.0])
-        assert pw.cdf(d, -np.inf) == 0.0
-        assert pw.cdf(d, np.inf) == pw.raw_mass(d)
-        assert_array_equal(
-            pw.cdf(d, [-np.inf, 1.0, np.inf]), [0.0, 0.75, pw.raw_mass(d)]
-        )
+    # No RuntimeWarning either: pytest turns those into errors.
+    assert pw.pdf(d, -np.inf) == 0.0
+    assert pw.pdf(d, np.inf) == 0.0
+    assert_array_equal(pw.pdf(d, [-np.inf, 0.5, np.inf]), [0.0, 0.75, 0.0])
+    assert pw.cdf(d, -np.inf) == 0.0
+    assert pw.cdf(d, np.inf) == pw.raw_mass(d)
+    assert_array_equal(
+        pw.cdf(d, [-np.inf, 1.0, np.inf]), [0.0, 0.75, pw.raw_mass(d)]
+    )
+
+
+def test_far_values_on_a_narrow_support_keep_their_limits():
+    # x - c_j over a piece width of 1e-300 overflows to an infinite offset
+    # ratio; values outside the support never reach the interpolation.
+    d = pw.validate([0.0, 1e-300, 2e-300], [5e299, 5e299], [5e299, 5e299])
+    assert_array_equal(pw.pdf(d, [-1e308, 1.5e-300, 1e308]), [0.0, 5e299, 0.0])
+    assert_array_equal(pw.cdf(d, [-1e308, 1e-300, 1e308]), [0.0, 0.5, 1.0])

@@ -171,6 +171,8 @@ class TestTetragonalStats:
         assert pw.tetragonal_stats(taller_left).modes == (1.0,)
         taller_right = pw.TetragonalParams(0, 1, 2, 3, 0.25, 0.75)
         assert pw.tetragonal_stats(taller_right).modes == (2.0,)
+        one_edge = pw.TetragonalParams(0, 1, 1, 2, 1.0, 1.0)
+        assert pw.tetragonal_stats(one_edge).modes == (1.0,)
 
     def test_alpha_form_mean_matches(self):
         params = pw.TetragonalParams(0, 1, 2, 3, 0.5, 0.5)

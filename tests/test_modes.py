@@ -232,6 +232,20 @@ class TestModeSetContinuous:
             (l.position, l.position2) for l in kinds["open-interval"]
         ] == [(1.0, 2.0)]
 
+    def test_coincident_breakpoints(self):
+        # Hit vertices on one position are one point, with no plateau
+        # between them.
+        apex = pw.tetragonal(0, 1, 1, 2, 1, 1)
+        ms = pw.mode_set_continuous(apex)
+        assert ms.loci == (pw.ModeLocus("point", 1.0),)
+        assert pw.mode_set(pw.promote(apex)).loci == ms.loci
+        plateau = [
+            ("point", 1.0, None), ("open-interval", 1.0, 2.0), ("point", 2.0, None)
+        ]
+        for c in ([0, 1, 1, 2, 3], [0, 1, 2, 2, 3]):
+            p = pw.PolygonalDensity(pw.Grid(c), [0, 1, 1, 1, 0])
+            assert _as_tuples(pw.mode_set_continuous(p)) == plateau
+
     def test_twin_peaks(self):
         p = pw.PolygonalDensity(pw.Grid([0, 1, 2, 3, 4]), [0, 1, 0, 1, 0])
         ms = pw.mode_set_continuous(p)

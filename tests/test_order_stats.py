@@ -28,10 +28,10 @@ def _mass_short_of_one():
     return pw.validate([0, 1, 2], h, h)
 
 
-def _random_edge_density(rng):
+def _random_edge_density(rng, offset=0.0):
     """Coincident breakpoints, zero runs, and a mass at the tolerance edge."""
     n = int(rng.integers(1, 12))
-    c = np.sort(rng.uniform(-5.0, 5.0, size=n + 1))
+    c = np.sort(rng.uniform(-5.0, 5.0, size=n + 1)) + offset
     c = np.sort(np.concatenate((c, rng.choice(c, size=int(rng.integers(0, 3))))))
     rr = rng.uniform(0.0, 1.0, size=c.size - 1)
     ll = rng.uniform(0.0, 1.0, size=c.size - 1)
@@ -240,3 +240,89 @@ class TestSample:
     def test_empty_input(self):
         x = pw.sample(_step(), np.array([]))
         assert x.size == 0
+
+
+def _scaled(d, k):
+    """``d`` with breakpoints times ``2**k`` and limits times ``2**-k``."""
+    pv = d.point_values
+    return pw.validate(
+        np.ldexp(d.breakpoints, k),
+        np.ldexp(d.right_limits, -k),
+        np.ldexp(d.left_limits, -k),
+        None if pv is None else np.ldexp(pv, -k),
+    )
+
+
+def _equivariance_misses(d, k, levels, uniforms):
+    """The results on ``_scaled(d, k)`` that are not ``2**k`` times those
+    on ``d`` bit for bit, and the number of results compared."""
+    ds = _scaled(d, k)
+    pairs = []
+    for p in levels:
+        for rule in pw.QUANTILE_RULES:
+            pairs.append((("quantile", p, rule),
+                          pw.quantile(d, p, rule), pw.quantile(ds, p, rule)))
+        pre, pre_s = pw.quantile_preimage(d, p), pw.quantile_preimage(ds, p)
+        pairs.append((("lower", p), pre.lower, pre_s.lower))
+        pairs.append((("upper", p), pre.upper, pre_s.upper))
+    ms, ms_s = pw.median_set(d), pw.median_set(ds)
+    pairs.append((("median_min",), ms.v_min, ms_s.v_min))
+    pairs.append((("median_max",), ms.v_max, ms_s.v_max))
+    for u, x, x_s in zip(uniforms, pw.sample(d, uniforms), pw.sample(ds, uniforms)):
+        pairs.append((("sample", u), x, x_s))
+    misses = [
+        (k, what, x_s, math.ldexp(x, k))
+        for what, x, x_s in pairs
+        if x_s != math.ldexp(x, k)
+    ]
+    flags = (ms.min_attained, ms.max_attained)
+    if (ms_s.min_attained, ms_s.max_attained) != flags:
+        misses.append((k, "median flags", flags))
+    return misses, len(pairs) + 1
+
+
+class TestPowerOfTwoEquivariance:
+    """Scaling the breakpoints by ``2**k`` and the limits by ``2**-k``
+    leaves every piece mass alone, so quantiles, preimages, the median set
+    and samples must scale by ``2**k`` exactly, at every magnitude."""
+
+    LEVELS = (0.0, 1e-12, 0.02, 0.1, 0.5, 0.9, 0.98, 1.0)
+
+    def test_random_densities(self):
+        rng = np.random.default_rng(2**10 + 7)
+        misses, compared, checked = [], 0, 0
+        while checked < 60:
+            d = _random_edge_density(rng, float(rng.choice([0.0, -1e6, 1e12])))
+            if d is None:
+                continue
+            table = pw.cdf_table(d).cumulative
+            levels = self.LEVELS + tuple(rng.random(3)) + tuple(table[table <= 1.0])
+            uniforms = np.concatenate((rng.random(8), table[table < 1.0]))
+            for k in (-900, 900, *rng.integers(-900, 901, size=2).tolist()):
+                found, n = _equivariance_misses(d, k, levels, uniforms)
+                misses += found
+                compared += n
+            checked += 1
+        assert not misses, f"{len(misses)} of {compared} differ, e.g. {misses[:3]}"
+
+    @pytest.mark.parametrize("b", [1e16, 1e200, 1e-160, 1e-300])
+    def test_wide_and_narrow_triangles(self, b):
+        # triangular(0, b/2, b) is triangular(0, m/2, m) scaled by 2**e.
+        m, e = math.frexp(b)
+        d = pw.promote(pw.triangular(0.0, m / 2.0, m))
+        ds = pw.promote(pw.triangular(0.0, b / 2.0, b))
+        scaled = _scaled(d, e)
+        for name in ("breakpoints", "right_limits", "left_limits"):
+            assert getattr(ds, name).tolist() == getattr(scaled, name).tolist()
+        misses, _ = _equivariance_misses(d, e, self.LEVELS, np.array([0.02, 0.9]))
+        assert not misses
+        # The exact quantiles are b sqrt(p/2) below the apex and
+        # b (1 - sqrt((1 - p)/2)) above it.
+        assert pw.quantile(ds, 0.02) == pytest.approx(0.1 * b, rel=1e-15)
+        assert pw.quantile(ds, 0.5) == 0.5 * b
+        assert pw.quantile(ds, 0.9) == pytest.approx(
+            (1.0 - math.sqrt(0.05)) * b, rel=1e-15
+        )
+        ms = pw.median_set(ds)
+        assert (ms.v_min, ms.v_max) == (0.5 * b, 0.5 * b)
+        assert ms.min_attained and ms.max_attained
