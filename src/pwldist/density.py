@@ -74,6 +74,11 @@ def _check_nonnegative(arr: np.ndarray, name: str) -> None:
         )
 
 
+def _unit_of(width: float) -> float:
+    """The power of two ``u`` with ``u <= width < 2u``."""
+    return math.ldexp(1.0, math.frexp(width)[1] - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Support partition ``c_0 <= c_1 <= ... <= c_{n+1}``.
@@ -98,6 +103,9 @@ class Grid:
             raise NotNondecreasingError("breakpoints must be nondecreasing")
         if not c[0] < c[-1]:
             raise EmptySupportError("support has zero length")
+        # In Python floats: numpy would warn on the overflow.
+        if float(c[-1]) - float(c[0]) == math.inf:
+            raise DensityError("support width overflows")
         object.__setattr__(self, "breakpoints", c)
 
     @property
@@ -162,14 +170,11 @@ class PiecewiseLinearDensity:
         rr = _frozen_array(self.right_limits, "right_limits")
         ll = _frozen_array(self.left_limits, "left_limits")
         npieces = self.grid.breakpoints.size - 1
-        if rr.size != npieces:
-            raise LengthMismatchError(
-                f"right_limits has {rr.size} entries, expected {npieces}"
-            )
-        if ll.size != npieces:
-            raise LengthMismatchError(
-                f"left_limits has {ll.size} entries, expected {npieces}"
-            )
+        for name, arr in (("right_limits", rr), ("left_limits", ll)):
+            if arr.size != npieces:
+                raise LengthMismatchError(
+                    f"{name} has {arr.size} entries, expected {npieces}"
+                )
         _check_nonnegative(rr, "right_limits")
         _check_nonnegative(ll, "left_limits")
         pv = self.point_values

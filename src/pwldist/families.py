@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .density import NORMALIZATION_RTOL, Grid, PolygonalDensity
+from .density import NORMALIZATION_RTOL, Grid, PolygonalDensity, _unit_of
 from .errors import (
     BadOrderError,
     BadProbabilityError,
@@ -40,6 +40,8 @@ def _require_order(*values: float) -> None:
             )
     if not values[0] < values[-1]:
         raise BadOrderError("support must have positive length")
+    if values[-1] - values[0] == math.inf:
+        raise BadOrderError("support width overflows")
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,15 @@ def triangular_stats(params: TriangularParams) -> TriangularStats:
     """
     a, c, b = params.a, params.c, params.b
     mean = (a + b + c) / 3.0
-    # The variance is translation invariant: evaluate it with a moved to 0.
-    cs, bs = c - a, b - a
-    variance = (bs * bs + cs * cs - bs * cs) / 18.0
+    # Variance and median: a moved to 0, lengths in units of a power of two
+    # u <= b - a < 2u (exact), where no square overflows.
+    u = _unit_of(b - a)
+    cs, bs = (c - a) / u, (b - a) / u
+    variance = (bs * bs + cs * cs - bs * cs) / 18.0 * u * u
     t = 2.0 * c - a - b
     sign = int(t > 0.0) - int(t < 0.0)
-    median = (a + b) / 2.0 + (
-        math.sqrt((b - a) * (b - a + abs(t))) + a - b
-    ) / 2.0 * sign
+    root = math.sqrt(bs * (bs + abs(t) / u)) * u
+    median = (a + b) / 2.0 + (root + a - b) / 2.0 * sign
     return TriangularStats(mean=mean, variance=variance, median=median, mode=c)
 
 
@@ -217,52 +220,34 @@ def _tetragonal_median(params: TetragonalParams) -> float:
 
     Boundary cases use weak floating-point equality on purpose: C(c - a) = 1
     returns exactly c, D(b - d) = 1 returns exactly d, with no tolerance
-    window.
+    window.  The outer pieces take the square root of a squared length in
+    units of ``u * u``, ``u`` a power of two near ``b - a``, where it cannot
+    overflow; the middle piece takes the one stable root of its quadratic.
     """
     a, c, d, b = params.a, params.c, params.d, params.b
     big_c, big_d = params.left_height, params.right_height
-    left_mass2 = big_c * (c - a)
-    right_mass2 = big_d * (b - d)
+    u = _unit_of(b - a)
+    left_mass2, right_mass2 = big_c * (c - a), big_d * (b - d)
     if left_mass2 > 1.0:
-        return a + math.sqrt((c - a) / big_c)
+        return a + math.sqrt((c - a) / u / (big_c * u)) * u
     if left_mass2 == 1.0:
         return c
     if right_mass2 > 1.0:
-        return b - math.sqrt((b - d) / big_d)
+        return b - math.sqrt((b - d) / u / (big_d * u)) * u
     if right_mass2 == 1.0:
         return d
     if big_c == big_d:
         return 1.0 / (2.0 * big_c) + (a + c) / 2.0
+    if d == c:  # each half holds 1/2 to within the normalization tolerance
+        return c
     # Middle piece, C != D: solve the quadratic in t = v - c,
     #   (D - C) t^2 + 2C(d - c) t + (d - c)[C(c - a) - 1] = 0,
-    # obtained from F(c) + C t + (D - C) t^2 / (2(d - c)) = 1/2.
-    qa = big_d - big_c
-    qb = 2.0 * big_c * (d - c)
+    # obtained from F(c) + C t + (D - C) t^2 / (2(d - c)) = 1/2.  Here
+    # qc <= 0 <= qb, so the stable root below is the one with t >= 0.
+    qa, qb = big_d - big_c, 2.0 * big_c * (d - c)
     qc = (d - c) * (left_mass2 - 1.0)
-    disc = qb * qb - 4.0 * qa * qc
-    disc = math.sqrt(max(disc, 0.0))
-    # Both roots via the product form to avoid cancellation, then pick
-    # the one inside the piece; on a rounding tie take the better F value.
-    if qb >= 0.0:
-        r = -(qb + disc) / 2.0
-    else:
-        r = -(qb - disc) / 2.0
-    roots = []
-    if qa != 0.0:
-        roots.append(r / qa)
-    if r != 0.0:
-        roots.append(qc / r)
-    width = d - c
-    inside = [t for t in roots if 0.0 <= t <= width]
-    if not inside:
-        inside = [min(max(t, 0.0), width) for t in roots]
-    if len(inside) > 1:
-        def halfway_error(t: float) -> float:
-            f_c = left_mass2 / 2.0
-            return abs(f_c + big_c * t + qa * t * t / (2.0 * width) - 0.5)
-
-        inside.sort(key=halfway_error)
-    return c + inside[0]
+    t = -2.0 * qc / (qb + math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)))
+    return c + min(t, d - c)
 
 
 def tetragonal_stats(params: TetragonalParams) -> TetragonalStats:
@@ -278,20 +263,22 @@ def tetragonal_stats(params: TetragonalParams) -> TetragonalStats:
         )
     a, c, d, b = params.a, params.c, params.d, params.b
     big_c, big_d = params.left_height, params.right_height
-    # Mean and variance are translation equivariant: evaluate them with a
-    # moved to 0, then move the mean back.
-    cs, ds, bs = c - a, d - a, b - a
-    mu = (big_c * ds * (cs + ds) + big_d * (bs - cs) * (bs + cs + ds)) / 6.0
-    mean = a + mu
+    # Mean and variance: a moved to 0, lengths in units of a power of two
+    # u <= b - a < 2u and heights times u (exact), where nothing overflows.
+    u = _unit_of(b - a)
+    cs, ds, bs = (c - a) / u, (d - a) / u, (b - a) / u
+    cu, du = big_c * u, big_d * u
+    mu = (cu * ds * (cs + ds) + du * (bs - cs) * (bs + cs + ds)) / 6.0
+    mean = a + mu * u
     variance = (
-        big_c * ds * (
+        cu * ds * (
             cs * cs + ds * ds + cs * ds - 4.0 * mu * (cs + ds) + 6.0 * mu * mu
         )
-        + big_d * (bs - cs) * (
+        + du * (bs - cs) * (
             bs * bs + cs * cs + ds * ds + bs * cs + bs * ds + cs * ds
             - 4.0 * mu * (bs + cs + ds) + 6.0 * mu * mu
         )
-    ) / 12.0
+    ) / 12.0 * u * u
     median = _tetragonal_median(params)
     if big_c == big_d:
         modes: tuple[float, ...] = (c, d) if c < d else (c,)

@@ -22,7 +22,7 @@ Horner's rule over blocks of pieces with the powers of the half-width as a
 running product: no array power (which is slow for negative bases) and a
 fixed number of temporaries for every order.  The shape summary takes its
 central moments 2-4 the same way in one pass, on breakpoints shifted by
-``c_0`` and then by the mean.
+``c_0`` and then by the mean, in units of a power of two near the width.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .density import (
     promote,
     raw_mass,
     require_normalized,
+    _unit_of,
 )
 from .errors import OrderTooLargeError
 
@@ -122,12 +123,14 @@ def variance_polygonal(p: PolygonalDensity) -> float:
 _BLOCK = 16384
 
 
-def _moment_sums(d: PiecewiseLinearDensity, c: np.ndarray, orders) -> list[float]:
-    """``int x^m f(x) dx`` for each ``m`` in ``orders``, with ``x`` measured
-    on the breakpoints ``c`` (those of ``d``, possibly shifted).
+def _moment_sums(d: PiecewiseLinearDensity, c, orders, unit=1.0) -> list[float]:
+    """``int (x/unit)^m f(x) dx`` for each ``m`` in ``orders``, with ``x``
+    measured on the breakpoints ``c`` (those of ``d``, possibly shifted) and
+    ``unit`` a power of two.
 
-    On piece i write ``x = mid + u`` with ``mid`` the piece midpoint and
-    ``f(mid + u) = p + q u``; then over the symmetric range ``|u| <= w/2``
+    On piece i write ``x/unit = mid + u`` with ``mid`` the piece midpoint
+    and ``unit f = p + q u``, the density per unit; then over the symmetric
+    range ``|u| <= w/2``, ``w`` the width in units,
 
         seg_k = int u^k (p + q u) du = 2 p (w/2)^{k+1} / (k+1)   for even k,
                                        2 q (w/2)^{k+2} / (k+2)   for odd k,
@@ -138,17 +141,20 @@ def _moment_sums(d: PiecewiseLinearDensity, c: np.ndarray, orders) -> list[float
     ``acc = seg_0``, with the powers of ``w/2`` kept as a running product: no
     array power, and a fixed number of temporaries of at most ``_BLOCK``
     pieces whatever the order.  Starting from ``seg_0`` and adding ``seg_k``
-    itself where ``binom(m, k) = 1`` skip only exact steps.
+    itself where ``binom(m, k) = 1`` skip only exact steps.  The unit rides
+    in the constants that halve ``mid``, ``w`` and ``p`` and in the odd-order
+    one (the array ``q`` is ``2 q / unit``), so it costs no array pass.
     """
     rr, ll = d.right_limits, d.left_limits
     sums = [0.0] * len(orders)
+    to_half = 0.5 / unit
     for start in range(0, rr.size, _BLOCK):
         stop = min(start + _BLOCK, rr.size)
         w = d.breakpoints[start + 1:stop + 1] - d.breakpoints[start:stop]
-        mid = (c[start:stop] + c[start + 1:stop + 1]) / 2.0
-        half = w / 2.0
-        p = (rr[start:stop] + ll[start:stop]) / 2.0
-        q = (ll[start:stop] - rr[start:stop]) / w
+        mid = (c[start:stop] + c[start + 1:stop + 1]) * to_half
+        half = w * to_half
+        p = (rr[start:stop] + ll[start:stop]) * (0.5 * unit)
+        q = (ll[start:stop] - rr[start:stop]) / half
         half_sq = half * half
         power = half  # (w/2)^{k+1} for even k, (w/2)^{k+2} for odd k
         seg = p * power * 2.0
@@ -158,7 +164,7 @@ def _moment_sums(d: PiecewiseLinearDensity, c: np.ndarray, orders) -> list[float
                 seg = p * power * (2.0 / (k + 1))
             else:
                 power = power * half_sq
-                seg = q * power * (2.0 / (k + 2))
+                seg = q * power * (unit / (k + 2))
             for acc, m in zip(accs, orders):
                 if k <= m:
                     acc *= mid
@@ -190,28 +196,29 @@ def summary(d: PiecewiseLinearDensity) -> MomentSummary:
 
     The breakpoints are shifted by ``c_0`` and then by the mean taken in
     that frame, and the central moments 2-4 are the raw moments of those
-    coordinates, all from one pass over the pieces.  The shift keeps far
-    supports accurate and gives symmetric densities an exactly zero third
-    central moment.  Skewness and excess are NaN when the variance is zero.
+    coordinates in units of the power of two ``u <= b - a < 2u``, all
+    from one pass over the pieces.  The shift keeps far supports accurate
+    and gives symmetric densities an exactly zero third central moment; the
+    unit keeps the moments near one at any width, and scaling back by it is
+    exact.  Skewness and excess are NaN when the variance is zero.
     Every moment is divided by the mass once, so they are those of the
     distribution ``f / mass``.
     """
     c0, c, mu = _shifted_mean(d)
     mass = raw_mass(d)
-    c2, c3, c4 = (s / mass for s in _moment_sums(d, c - mu, (2, 3, 4)))
+    unit = _unit_of(c[-1])
+    c2, c3, c4 = (s / mass for s in _moment_sums(d, c - mu, (2, 3, 4), unit))
     var = max(c2, 0.0)
     std = math.sqrt(var)
+    skew = excess = math.nan
     if std > 0.0:
         skew = c3 / std ** 3
         excess = c4 / var ** 2 - 3.0
-    else:
-        skew = math.nan
-        excess = math.nan
     return MomentSummary(
         mass=mass,
         mean=float(c0 + mu),
-        variance=var,
-        std=std,
+        variance=var * unit * unit,
+        std=std * unit,
         skewness=skew,
         excess=excess,
     )

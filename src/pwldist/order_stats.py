@@ -98,8 +98,7 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p, upper) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
         h = 2.0 * q / (beta + np.sqrt(disc)) * unit
-    h = np.where(q <= 0.0, 0.0, h)
-    x = lo + np.minimum(np.maximum(h, 0.0), w)
+    x = lo + np.minimum(np.where(q <= 0.0, 0.0, h), w)
     if upper is not False:
         x = np.where(upper & (p >= min(mass, 1.0)), c[-1], x)
     return x

@@ -109,6 +109,25 @@ class TestFitValidation:
         with pytest.raises(pw.NegativeValueError):
             pw.fit(pw.FitRequest.from_points([0, 1, 2], [0, -1, 0]))
 
+    @pytest.mark.parametrize(
+        "xs,ys",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 1.0]),
+            ([[0.0, 1.0, 2.0]] * 2, [[0.0, 1.0, 0.0]] * 2),
+        ],
+    )
+    def test_arrays_must_be_one_dimensional_and_equal_length(self, xs, ys):
+        req = pw.FitRequest(np.array(xs), np.array(ys), True)
+        with pytest.raises(pw.NotIncreasingError) as err:
+            pw.fit(req)
+        assert str(err.value) == "xs and ys must be 1-D arrays of equal length"
+
+    def test_non_finite_xs(self):
+        req = pw.FitRequest(np.array([0.0, np.inf, 2.0]), np.array([0.0, 1.0, 0.0]), True)
+        with pytest.raises(pw.NotIncreasingError) as err:
+            pw.fit(req)
+        assert str(err.value) == "xs must be finite"
+
     def test_too_few_points(self):
         with pytest.raises(pw.DensityError):
             pw.fit(pw.FitRequest.from_points([0, 1], [0, 0]))

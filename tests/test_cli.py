@@ -110,6 +110,14 @@ class TestParseSpec:
         with pytest.raises(pw.SchemaError):
             cli.parse_spec(_spec(kind="triangular", a=True, c=0.5, b=1))
 
+    def test_rejects_empty_array(self):
+        text = _spec(
+            kind="piecewise_linear", breakpoints=[], right_limits=[1], left_limits=[1]
+        )
+        with pytest.raises(pw.SchemaError) as err:
+            cli.parse_spec(text)
+        assert str(err.value) == "field 'breakpoints' must be a non-empty array"
+
     def test_rejects_non_finite(self):
         text = '{"kind": "triangular", "a": 0, "c": 0.5, "b": NaN}'
         with pytest.raises((pw.SchemaError, pw.ParseError)):
@@ -191,6 +199,13 @@ class TestValidateCommand:
         assert "mass = 2\n" in out
         assert "normalized = false\n" in out
 
+    def test_support_width_overflow_is_refused(self, tmp_path, capsys):
+        spec = tmp_path / "wide.json"
+        spec.write_text(_spec(kind="triangular", a=-1e308, c=0, b=1e308))
+        rc = cli.main(["validate", str(spec)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: support width overflows\n"
+
     def test_invalid_spec_names_offender(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -251,6 +266,17 @@ class TestStatsCommand:
         assert "median_min = 1\n" in out
         assert "median_max = 2\n" in out
         assert "median = " not in out
+
+    def test_wide_triangle(self, tmp_path, capsys):
+        # Squares of lengths overflow at this width; the statistics do not.
+        spec = tmp_path / "wide.json"
+        spec.write_text(_spec(kind="triangular", a=0, c=5e99, b=1e100))
+        rc = cli.main(["stats", str(spec)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "variance = 4.16666666667e+198\n" in out
+        assert "skewness = 0\n" in out
+        assert "excess = -0.6\n" in out
 
     def test_unnormalized_input_fails(self, capsys):
         rc = cli.main(["stats", str(DATA / "twotri_double.json")])
@@ -599,6 +625,23 @@ class TestNormalizeCommand:
         np.testing.assert_allclose(stored["right_limits"], [0.75, 0.25])
 
 
+    def test_point_values_are_scaled_too(self, tmp_path, capsys):
+        src = tmp_path / "doubled_step_with_points.json"
+        src.write_text(
+            _spec(
+                kind="piecewise_linear",
+                breakpoints=[0, 1, 2],
+                right_limits=[1.5, 0.5],
+                left_limits=[1.5, 0.5],
+                point_values=[0, 1, 0],
+            )
+        )
+        rc = cli.main(["normalize", str(src)])
+        assert rc == 0
+        stored = json.loads(capsys.readouterr().out)
+        assert stored["point_values"] == [0.0, 0.5, 0.0]
+
+
 class TestFitCommand:
     def test_fits_points_from_csv(self, tmp_path, capsys):
         curve = tmp_path / "tent.csv"
@@ -631,6 +674,21 @@ class TestFitCommand:
         rc = cli.main(["fit", str(curve)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_whitespace_only_rows_are_skipped(self, tmp_path, capsys):
+        curve = tmp_path / "gappy.csv"
+        curve.write_text("x,y\n0,0\n  ,\t\n0.5,1\n1,0\n")
+        rc = cli.main(["fit", str(curve)])
+        assert rc == 0
+        stored = json.loads(capsys.readouterr().out)
+        assert stored["breakpoints"] == [0.0, 0.5, 1.0]
+
+    def test_non_numeric_value_after_the_header_line(self, tmp_path, capsys):
+        curve = tmp_path / "typo.csv"
+        curve.write_text("0,0\n0.5,abc\n1,0\n")
+        rc = cli.main(["fit", str(curve)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 2: non-numeric value\n"
 
     def test_csv_that_is_not_utf8(self, tmp_path, capsys):
         curve = tmp_path / "utf16.csv"

@@ -54,6 +54,32 @@ def test_point_values_length_checked():
         pw.validate([0, 1, 2], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0])
 
 
+def test_rejects_two_dimensional_breakpoints():
+    with pytest.raises(pw.DensityError) as err:
+        pw.validate([[0, 1], [1, 2]], [1.0], [1.0])
+    assert str(err.value) == "breakpoints must be one-dimensional"
+
+
+def test_rejects_a_support_whose_width_overflows():
+    # Each breakpoint is finite, but c_{n+1} - c_0 is not.
+    with pytest.raises(pw.DensityError) as err:
+        pw.validate([-1e308, 0.0, 1e308], [1.0, 1.0], [1.0, 1.0])
+    assert type(err.value) is pw.DensityError
+    assert str(err.value) == "support width overflows"
+    assert pw.Grid([-1e308, 7e307]).b == 7e307
+
+
+def test_polygon_heights_length_checked():
+    with pytest.raises(pw.LengthMismatchError) as err:
+        pw.PolygonalDensity(pw.Grid([0, 1, 2]), [0.0, 1.0])
+    assert str(err.value) == "heights has 2 entries, expected 3"
+
+
+def test_polygon_is_normalized():
+    assert pw.PolygonalDensity(pw.Grid([0, 1, 2]), [0.0, 1.0, 0.0]).is_normalized
+    assert not pw.PolygonalDensity(pw.Grid([0, 1, 2]), [0.0, 2.0, 0.0]).is_normalized
+
+
 @pytest.mark.parametrize(
     "breakpoints,rr,ll,expected",
     [

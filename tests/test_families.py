@@ -106,6 +106,44 @@ class TestTetragonalFromWeight:
         params = pw.TetragonalParams(0, 1, 2, 3, 1.0, 0.0)
         assert params.alpha == math.inf
 
+    def test_degenerate_geometry(self):
+        # w = 1 puts all mass on [a, d], which has zero length here.
+        with pytest.raises(pw.ZeroMassError) as err:
+            pw.tetragonal_from_weight(0, 0, 0, 1, 1.0)
+        assert str(err.value) == "degenerate geometry: weight denominator is zero"
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(pw.BadOrderError) as err:
+            pw.TriangularParams(0.0, bad, 1.0)
+        assert str(err.value) == "parameters must be finite"
+
+    def test_raw_heights_with_zero_mass(self):
+        # Only the left height is positive, and [a, d] has zero length.
+        with pytest.raises(pw.ZeroMassError) as err:
+            pw.tetragonal(0, 0, 0, 1, 1, 0)
+        assert str(err.value) == "raw heights integrate to zero over this support"
+
+    def test_alpha_mean_needs_a_right_height(self):
+        with pytest.raises(pw.ZeroMassError) as err:
+            tetragonal_mean_alpha(pw.TetragonalParams(0, 0.5, 1, 2, 1, 0))
+        assert str(err.value) == "alpha form needs right_height > 0 (w < 1)"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pw.triangular(-1e308, 0.0, 1e308),
+            lambda: pw.tetragonal(-1e308, 0.0, 1.0, 1e308, 1.0, 1.0),
+            lambda: pw.tetragonal_from_weight(-1e308, 0.0, 1.0, 1e308, 0.5),
+        ],
+    )
+    def test_support_width_overflow(self, build):
+        with pytest.raises(pw.BadOrderError) as err:
+            build()
+        assert str(err.value) == "support width overflows"
+
 
 class TestTriangularStats:
     def test_symmetric(self):
@@ -183,6 +221,13 @@ class TestTetragonalStats:
     def test_rejects_unnormalized(self):
         with pytest.raises(pw.NotNormalizedError):
             pw.tetragonal_stats(pw.TetragonalParams(0, 1, 2, 3, 1.0, 1.0))
+
+    def test_collapsed_middle_with_both_halves_just_short(self):
+        # d = c and C(c - a), D(b - d) both a little under 1: no middle piece
+        # to solve in, and the median is the shared edge.
+        params = pw.TetragonalParams(-1.0, 0.5, 0.5, 2.0, (1 - 2e-10) / 1.5, (1 - 3e-10) / 1.5)
+        assert params.left_height * 1.5 < 1.0 and params.right_height * 1.5 < 1.0
+        assert pw.tetragonal_stats(params).median == 0.5
 
     def test_equal_heights_median_formulas_agree(self):
         # When both plateau heights coincide the median has a short
