@@ -159,6 +159,11 @@ class PiecewiseLinearDensity:
 
     Values are immutable after construction; all operations on them are
     pure functions, so instances can be shared freely across threads.
+    ``summary``, ``mean``, ``variance``, ``median_set`` and each order of
+    ``raw_moment`` are computed once per density and stored on it; the
+    stored results are immutable, so threads may share them too.  Mode sets
+    are not stored: one can hold O(n) loci, which would live as long as the
+    density.
     """
 
     grid: Grid
@@ -203,6 +208,7 @@ class PiecewiseLinearDensity:
         object.__setattr__(self, "right_limits", rr)
         object.__setattr__(self, "left_limits", ll)
         object.__setattr__(self, "point_values", pv)
+        object.__setattr__(self, "_results", {})
 
     # Derived data, computed on first use and kept for the instance's life;
     # read them through raw_mass() and evaluate.cdf_table().
@@ -347,6 +353,15 @@ def scale(d: PiecewiseLinearDensity, s: float) -> PiecewiseLinearDensity:
     return PiecewiseLinearDensity(
         d.grid, d.right_limits * s, d.left_limits * s, pv
     )
+
+
+def _stored(d: PiecewiseLinearDensity, key, compute):
+    """The result stored on ``d`` under ``key`` (a str or int), or
+    ``compute(d)``, which is never None, stored there unless it raised."""
+    result = d._results.get(key)
+    if result is None:
+        result = d._results[key] = compute(d)
+    return result
 
 
 def require_normalized(d: PiecewiseLinearDensity) -> None:

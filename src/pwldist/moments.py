@@ -10,9 +10,11 @@ with the vertex-indexed reductions for the continuous (polygonal) case.
 These sums are translation-equivariant, so they are evaluated on the
 breakpoints shifted by ``c_0`` and ``c_0`` is added back to the mean; in raw
 coordinates far from the origin they cancel catastrophically (Chan, Golub &
-LeVeque 1983).  Mean, variance, and the shape summary are the moments of
-the distribution ``f / mass``, which matters for a mass just inside the
-normalization tolerance; :func:`raw_moment` integrates ``x^m f`` itself.
+LeVeque 1983).  Lengths are in units of the power of two ``u <= b - a < 2u``,
+so no sum overflows at any width, and scaling back by u is exact.  Mean,
+variance, and the shape summary are the moments of the distribution
+``f / mass``, which matters for a mass just inside the normalization
+tolerance; :func:`raw_moment` integrates ``x^m f`` itself.
 Higher raw moments integrate ``x^m f(x)`` exactly piece by piece; each piece
 is translated so its midpoint sits at 0 before integrating, which keeps the
 odd/even split exact and avoids the cancellation the monomial basis suffers
@@ -38,6 +40,7 @@ from .density import (
     promote,
     raw_mass,
     require_normalized,
+    _stored,
     _unit_of,
 )
 from .errors import OrderTooLargeError
@@ -58,24 +61,36 @@ class MomentSummary:
 
 
 def _shifted_mean(d: PiecewiseLinearDensity):
-    """``c_0``, the breakpoints shifted by it, and the shifted mean."""
+    """``c_0``, the power of two ``u <= b - a < 2u``, the piece widths, and
+    the breakpoints shifted by ``c_0`` and their mean, both in units of u."""
     require_normalized(d)
     c0 = d.breakpoints[0]
     c = d.breakpoints - c0
+    unit = _unit_of(c[-1])
+    w = c[1:] - c[:-1]
+    c /= unit
     lo, hi = c[:-1], c[1:]
     terms = d.right_limits * (2.0 * lo + hi) + d.left_limits * (lo + 2.0 * hi)
-    return c0, c, ((hi - lo) * terms).sum() / 6.0 / raw_mass(d)
+    return c0, unit, w, c, (w * terms).sum() / 6.0 / raw_mass(d)
 
 
 def mean(d: PiecewiseLinearDensity) -> float:
     """Expected value, by the exact per-piece trapezoid sum."""
-    c0, _, mu = _shifted_mean(d)
-    return float(c0 + mu)
+    return _stored(d, "mean", _mean)
+
+
+def _mean(d: PiecewiseLinearDensity) -> float:
+    c0, unit, _, _, mu = _shifted_mean(d)
+    return float(c0 + float(mu) * unit)
 
 
 def variance(d: PiecewiseLinearDensity) -> float:
     """Second central moment, by the exact per-piece sum."""
-    _, c, mu = _shifted_mean(d)
+    return _stored(d, "variance", _variance)
+
+
+def _variance(d: PiecewiseLinearDensity) -> float:
+    _, unit, w, c, mu = _shifted_mean(d)
     lo, hi = c[:-1], c[1:]
     r_term = d.right_limits * (
         hi * hi + 2.0 * hi * lo + 3.0 * lo * lo - 4.0 * mu * hi - 8.0 * mu * lo + 6.0 * mu * mu
@@ -83,7 +98,7 @@ def variance(d: PiecewiseLinearDensity) -> float:
     l_term = d.left_limits * (
         3.0 * hi * hi + 2.0 * hi * lo + lo * lo - 8.0 * mu * hi - 4.0 * mu * lo + 6.0 * mu * mu
     )
-    return float(((hi - lo) * (r_term + l_term)).sum() / 12.0 / raw_mass(d))
+    return float((w * (r_term + l_term)).sum() / 12.0 / raw_mass(d)) * unit * unit
 
 
 def _shifted_mean_polygonal(p: PolygonalDensity):
@@ -123,10 +138,10 @@ def variance_polygonal(p: PolygonalDensity) -> float:
 _BLOCK = 16384
 
 
-def _moment_sums(d: PiecewiseLinearDensity, c, orders, unit=1.0) -> list[float]:
-    """``int (x/unit)^m f(x) dx`` for each ``m`` in ``orders``, with ``x``
-    measured on the breakpoints ``c`` (those of ``d``, possibly shifted) and
-    ``unit`` a power of two.
+def _moment_sums(d: PiecewiseLinearDensity, c, orders, unit) -> list[float]:
+    """``int (x/unit)^m f(x) dx`` for each ``m`` in ``orders``, with ``x/unit``
+    measured on the breakpoints ``c`` (those of ``d``, possibly shifted,
+    over ``unit``) and ``unit`` a power of two.
 
     On piece i write ``x/unit = mid + u`` with ``mid`` the piece midpoint
     and ``unit f = p + q u``, the density per unit; then over the symmetric
@@ -142,8 +157,9 @@ def _moment_sums(d: PiecewiseLinearDensity, c, orders, unit=1.0) -> list[float]:
     array power, and a fixed number of temporaries of at most ``_BLOCK``
     pieces whatever the order.  Starting from ``seg_0`` and adding ``seg_k``
     itself where ``binom(m, k) = 1`` skip only exact steps.  The unit rides
-    in the constants that halve ``mid``, ``w`` and ``p`` and in the odd-order
-    one (the array ``q`` is ``2 q / unit``), so it costs no array pass.
+    in the constants that halve ``w`` and ``p`` and in one multiply of the
+    array ``q`` (which holds ``2 q``), so every term is about the size of a
+    piece's mass, whatever the width.
     """
     rr, ll = d.right_limits, d.left_limits
     sums = [0.0] * len(orders)
@@ -151,10 +167,10 @@ def _moment_sums(d: PiecewiseLinearDensity, c, orders, unit=1.0) -> list[float]:
     for start in range(0, rr.size, _BLOCK):
         stop = min(start + _BLOCK, rr.size)
         w = d.breakpoints[start + 1:stop + 1] - d.breakpoints[start:stop]
-        mid = (c[start:stop] + c[start + 1:stop + 1]) * to_half
+        mid = (c[start:stop] + c[start + 1:stop + 1]) * 0.5
         half = w * to_half
         p = (rr[start:stop] + ll[start:stop]) * (0.5 * unit)
-        q = (ll[start:stop] - rr[start:stop]) / half
+        q = (ll[start:stop] - rr[start:stop]) * unit / half
         half_sq = half * half
         power = half  # (w/2)^{k+1} for even k, (w/2)^{k+2} for odd k
         seg = p * power * 2.0
@@ -164,7 +180,7 @@ def _moment_sums(d: PiecewiseLinearDensity, c, orders, unit=1.0) -> list[float]:
                 seg = p * power * (2.0 / (k + 1))
             else:
                 power = power * half_sq
-                seg = q * power * (unit / (k + 2))
+                seg = q * power * (1.0 / (k + 2))
             for acc, m in zip(accs, orders):
                 if k <= m:
                     acc *= mid
@@ -188,7 +204,18 @@ def raw_moment(d: PiecewiseLinearDensity, m: int) -> float:
         raise OrderTooLargeError(
             f"moment order {m} exceeds the supported maximum {MAX_MOMENT_ORDER}"
         )
-    return _moment_sums(d, d.breakpoints, (int(m),))[0]
+    m = int(m)
+    return _stored(d, m, lambda d: _raw_moment(d, m))
+
+
+def _raw_moment(d: PiecewiseLinearDensity, m: int) -> float:
+    # A support is at least one ulp of its ends wide, so |x|/unit < 2**54;
+    # Python multiplies scale back, inf only where E[X^m] itself overflows.
+    unit = _unit_of(d.grid.b - d.grid.a)
+    moment = _moment_sums(d, d.breakpoints / unit, (m,), unit)[0]
+    for _ in range(m):
+        moment *= unit
+    return moment
 
 
 def summary(d: PiecewiseLinearDensity) -> MomentSummary:
@@ -204,9 +231,12 @@ def summary(d: PiecewiseLinearDensity) -> MomentSummary:
     Every moment is divided by the mass once, so they are those of the
     distribution ``f / mass``.
     """
-    c0, c, mu = _shifted_mean(d)
+    return _stored(d, "summary", _summary)
+
+
+def _summary(d: PiecewiseLinearDensity) -> MomentSummary:
+    c0, unit, _, c, mu = _shifted_mean(d)
     mass = raw_mass(d)
-    unit = _unit_of(c[-1])
     c2, c3, c4 = (s / mass for s in _moment_sums(d, c - mu, (2, 3, 4), unit))
     var = max(c2, 0.0)
     std = math.sqrt(var)
@@ -216,7 +246,7 @@ def summary(d: PiecewiseLinearDensity) -> MomentSummary:
         excess = c4 / var ** 2 - 3.0
     return MomentSummary(
         mass=mass,
-        mean=float(c0 + mu),
+        mean=float(c0 + float(mu) * unit),
         variance=var * unit * unit,
         std=std * unit,
         skewness=skew,

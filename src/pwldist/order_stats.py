@@ -25,8 +25,8 @@ Every piece takes the root ``h = 2q / (beta + sqrt(beta^2 + 4 alpha q))``,
 the one the stable formula selects and the one inside ``[0, w]``: F is
 strictly increasing on a positive-mass piece, so the root is unique; a flat
 piece (``alpha = 0``) gets exactly ``q / beta``.  ``h`` is solved for in
-units of ``2**e``, ``e`` the binary exponent of ``w``, where every term is
-about the size of the piece's mass, so no support width overflows it.
+units of the power of two ``u <= w < 2u``, where every term is about the
+size of the piece's mass, so no piece width overflows it.
 Scaling by a power of two is exact, so the bits are those of absolute units
 wherever those do not overflow.
 """
@@ -40,6 +40,7 @@ import numpy as np
 from .density import (
     _MEDIAN_ATTAINED_ATOL,
     PiecewiseLinearDensity,
+    _stored,
     require_normalized,
 )
 from .errors import BadProbabilityError
@@ -88,12 +89,12 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p, upper) -> np.ndarray:
     j = table[1:-1].searchsorted(key)
     lo = c[j]
     w = c[j + 1] - lo
-    # w = m * 2**e with 1/2 <= m < 1, so unit = w / m is 2**e exactly.
-    m = np.frexp(w)[0]
-    unit = w / m
+    # w = m * 2**e with 1/2 <= m < 1, so unit = 2**(e - 1) <= w = 2m unit.
+    m, e = np.frexp(w)
+    unit = np.ldexp(0.5, e)
     right = d.right_limits[j]
     beta = right * unit
-    alpha = (d.left_limits[j] - right) * unit / (2.0 * m)
+    alpha = (d.left_limits[j] - right) * unit / (4.0 * m)
     q = p - table[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
@@ -142,7 +143,7 @@ def quantile(d: PiecewiseLinearDensity, p: float, rule: str = "inf") -> float:
     p = _checked_level(d, p)
     if rule == "mid":
         lower, upper = _preimage_ends(d, p)
-        return (lower + upper) / 2.0
+        return lower / 2.0 + upper / 2.0
     return float(_inverse_cdf(d, p, rule == "sup"))
 
 
@@ -155,6 +156,10 @@ def median_set(d: PiecewiseLinearDensity) -> MedianSet:
     bounds are attained, checked against the computed CDF at both ends in
     one call.
     """
+    return _stored(d, "median_set", _median_set)
+
+
+def _median_set(d: PiecewiseLinearDensity) -> MedianSet:
     pre = quantile_preimage(d, 0.5)
     f_lower, f_upper = cdf(d, [pre.lower, pre.upper]).tolist()
     return MedianSet(
