@@ -170,3 +170,19 @@ def reference_mode_set_continuous(heights, breakpoints):
             if i + 1 < c.size - 1 and _near(float(h[i + 1]), fmax):
                 loci.append(("open-interval", float(c[i]), float(c[i + 1])))
     return fmax, loci
+
+
+def top_exponent(d):
+    """The largest k for which moving ``d`` to breakpoints times ``2**k`` and
+    limits and point values times ``2**-k`` is exact: no breakpoint or the
+    support width overflows, and no nonzero height leaves the normal floats."""
+    a, b = d.breakpoints[0], d.breakpoints[-1]
+    k = 1024 - int(np.frexp(max(abs(a), abs(b), b - a))[1])
+    heights = [d.right_limits, d.left_limits]
+    if d.point_values is not None:
+        heights.append(d.point_values)
+    heights = np.concatenate(heights)
+    heights = heights[heights > 0.0]
+    if heights.size:
+        k = min(k, int(np.frexp(heights.min())[1]) + 1021)
+    return k

@@ -1,6 +1,7 @@
 """Quantile preimages, medians, and inverse-transform sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import pwldist as pw
 
-from oracles import random_density_arrays
+from oracles import random_density_arrays, top_exponent
 
 
 def _two_triangle():
@@ -298,7 +299,8 @@ class TestPowerOfTwoEquivariance:
             table = pw.cdf_table(d).cumulative
             levels = self.LEVELS + tuple(rng.random(3)) + tuple(table[table <= 1.0])
             uniforms = np.concatenate((rng.random(8), table[table < 1.0]))
-            for k in (-900, 900, *rng.integers(-900, 901, size=2).tolist()):
+            top = top_exponent(d)
+            for k in (-900, 900, top, *rng.integers(-900, 901, size=2).tolist()):
                 found, n = _equivariance_misses(d, k, levels, uniforms)
                 misses += found
                 compared += n
@@ -326,3 +328,23 @@ class TestPowerOfTwoEquivariance:
         ms = pw.median_set(ds)
         assert (ms.v_min, ms.v_max) == (0.5 * b, 0.5 * b)
         assert ms.min_attained and ms.max_attained
+
+    def test_pieces_wider_than_2_to_the_1023(self):
+        # Heights this small are subnormal, so no exact scaling reaches
+        # here; compare with the exact values instead.  On one uniform piece
+        # F(x) = R x, with R the stored height.
+        b = 1.7e308
+        d = pw.validate([0.0, b], [1.0 / b], [1.0 / b])
+        exact = {p: float(Fraction(p) / Fraction(d.right_limits[0])) for p in (0.25, 0.5)}
+        for p, x in exact.items():
+            for rule in pw.QUANTILE_RULES:
+                assert pw.quantile(d, p, rule) == pytest.approx(x, rel=1e-15)
+        pre = pw.quantile_preimage(d, 0.5)
+        ms = pw.median_set(d)
+        assert pre.lower == pre.upper == ms.v_min == ms.v_max == exact[0.5]
+        assert ms.min_attained and ms.max_attained
+        assert pw.sample(d, [0.25, 0.5]).tolist() == [pw.quantile(d, 0.25), exact[0.5]]
+        t = pw.promote(pw.triangular(0.0, b / 2.0, b))
+        assert pw.quantile(t, 0.5) == 0.5 * b
+        assert pw.quantile(t, 0.02) == pytest.approx(0.1 * b, rel=1e-14)
+        assert pw.quantile(t, 0.9) == pytest.approx((1.0 - math.sqrt(0.05)) * b, rel=1e-14)

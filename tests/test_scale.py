@@ -16,6 +16,8 @@ from hypothesis import given, strategies as st
 
 import pwldist as pw
 
+from oracles import top_exponent
+
 EXPONENTS = st.integers(-900, 900)
 OFFSETS = st.sampled_from([0.0, 1.0, -1e6, 1e12, -1e12])
 # Positions on a grid of 2**-20 of a width: no subnormal offsets from a.
@@ -50,7 +52,7 @@ def densities(draw):
     )
     rr, ll = np.array(draw(limits)), np.array(draw(limits))
     mass = float(np.sum((rr + ll) * np.diff(c))) / 2.0
-    if not (c[0] < c[-1] and mass > 0.0):
+    if not (c[0] < c[-1] and mass > 1e-300):
         return None
     k = (1.0 + draw(st.sampled_from([0.0, -0.9e-9, 0.9e-9]))) / mass
     return pw.validate(c, rr * k, ll * k)
@@ -69,19 +71,61 @@ def _same_bits(x: float, y: float) -> bool:
     return repr(x) == repr(y)
 
 
+def _check_scaled_moments(d, ds, k, rel=0.0):
+    """``ds`` is ``d`` scaled by ``2**k``: summary, mean, variance and raw
+    moments scale exactly, or within ``rel`` (of one, for the shape
+    statistics), and are inf exactly where the scaled value overflows."""
+
+    def check(got, scaled, shape=False):
+        if rel:
+            assert got == pytest.approx(scaled, rel=rel, abs=rel if shape else 0.0)
+        else:
+            assert _same_bits(got, scaled)
+
+    s, ss = pw.summary(d), pw.summary(ds)
+    check(ss.skewness, s.skewness, shape=True)
+    check(ss.excess, s.excess, shape=True)
+    assert ss.mass == s.mass
+    check(ss.mean, math.ldexp(s.mean, k))
+    check(pw.mean(ds), math.ldexp(pw.mean(d), k))
+    for got, value, factor in ((ss.variance, s.variance, 2 * k), (ss.std, s.std, k),
+                               (pw.variance(ds), pw.variance(d), 2 * k)):
+        scaled = _ldexp(value, factor)
+        if _normal(scaled) or math.isinf(scaled):
+            check(got, scaled)
+    for m in range(pw.MAX_MOMENT_ORDER + 1):
+        scaled = _ldexp(pw.raw_moment(d, m), m * k)
+        if _normal(scaled) or math.isinf(scaled):
+            check(pw.raw_moment(ds, m), scaled)
+
+
 @given(densities(), EXPONENTS)
 def test_summary_is_scale_equivariant(d, k):
     if d is None:
         return
-    s, ss = pw.summary(d), pw.summary(_scaled(d, k))
-    assert _same_bits(ss.skewness, s.skewness)
-    assert _same_bits(ss.excess, s.excess)
-    assert ss.mass == s.mass
-    assert ss.mean == math.ldexp(s.mean, k)
-    variance = _ldexp(s.variance, 2 * k)
-    if _normal(variance):
-        assert ss.variance == variance
-        assert ss.std == math.ldexp(s.std, k)
+    _check_scaled_moments(d, _scaled(d, k), k)
+    # As far up as the scaling stays exact: supports up to 2**1024 wide, or
+    # breakpoints up to 2**1024 far out.  Heights there may sit at the
+    # bottom of the normal floats, where an intermediate product can round
+    # to a subnormal, so the results agree to about 1e-14, not bit for bit.
+    top = top_exponent(d)
+    _check_scaled_moments(d, _scaled(d, top), top, rel=1e-13)
+
+
+def test_uniform_over_most_of_the_float_range():
+    # Exact: mean b/2, skewness 0, excess -6/5, and E[X] = mass * b/2.
+    b = 1.7e308
+    d = pw.validate([0.0, b], [1.0 / b], [1.0 / b])
+    mass = pw.raw_mass(d)
+    assert pw.raw_moment(d, 0) == mass
+    assert pw.mean(d) == b / 2.0
+    assert pw.raw_moment(d, 1) == pytest.approx(mass * (b / 2.0), rel=1e-15)
+    assert pw.raw_moment(d, 2) == math.inf
+    s = pw.summary(d)
+    assert (s.mean, s.skewness, s.variance) == (b / 2.0, 0.0, math.inf)
+    assert s.excess == pytest.approx(-1.2, rel=1e-15)
+    assert s.std == pytest.approx(b / math.sqrt(12.0), rel=1e-15)
+    assert pw.mean(pw.validate([0.0, 7e307], [1.0 / 7e307], [1.0 / 7e307])) == 3.5e307
 
 
 @st.composite
@@ -134,7 +178,7 @@ def _float_or_inf(x: Fraction) -> float:
 
 
 @pytest.mark.parametrize(
-    "b", [1e-300, 1e-160, 1e-100, 1e-80, 1.0, 1e77, 1e100, 1.5e154, 1e200, 1e300]
+    "b", [1e-300, 1e-160, 1e-100, 1e-80, 1.0, 1e77, 1e100, 1.5e154, 1e200, 1e300, 1.7e308]
 )
 def test_wide_and_narrow_triangles(b):
     # triangular(0, b/2, b): skewness 0, excess -0.6, variance b^2 / 24.
