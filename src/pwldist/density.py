@@ -159,11 +159,11 @@ class PiecewiseLinearDensity:
 
     Values are immutable after construction; all operations on them are
     pure functions, so instances can be shared freely across threads.
-    ``summary``, ``mean``, ``variance``, ``median_set`` and each order of
-    ``raw_moment`` are computed once per density and stored on it; the
-    stored results are immutable, so threads may share them too.  Mode sets
-    are not stored: one can hold O(n) loci, which would live as long as the
-    density.
+    ``summary``, ``median_set`` and each order of ``raw_moment`` are
+    computed once per density and stored on it, and ``mean`` and
+    ``variance`` read the stored summary; the stored results are immutable,
+    so threads may share them too.  Mode sets are not stored: one can hold
+    O(n) loci, which would live as long as the density.
     """
 
     grid: Grid

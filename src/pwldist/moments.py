@@ -1,30 +1,43 @@
-"""Closed-form moments: mean, variance, and exact higher raw moments.
+"""Closed-form moments: mean, variance, shape, and exact higher raw moments.
 
-Mean and variance are the trapezoid sums
-
-    mu      = sum (c_{i+1} - c_i) [R_i (2c_i + c_{i+1}) + L_{i+1} (c_i + 2c_{i+1})] / 6
-    sigma^2 = sum (c_{i+1} - c_i) [R_i (c_{i+1}^2 + 2 c_{i+1} c_i + 3 c_i^2 - 4 mu c_{i+1} - 8 mu c_i + 6 mu^2)
-                                 + L_{i+1} (3 c_{i+1}^2 + 2 c_{i+1} c_i + c_i^2 - 8 mu c_{i+1} - 4 mu c_i + 6 mu^2)] / 12
-
-with the vertex-indexed reductions for the continuous (polygonal) case.
-These sums are translation-equivariant, so they are evaluated on the
-breakpoints shifted by ``c_0`` and ``c_0`` is added back to the mean; in raw
-coordinates far from the origin they cancel catastrophically (Chan, Golub &
-LeVeque 1983).  Lengths are in units of the power of two ``u <= b - a < 2u``,
-so no sum overflows at any width, and scaling back by u is exact.  Mean,
-variance, and the shape summary are the moments of the distribution
-``f / mass``, which matters for a mass just inside the normalization
-tolerance; :func:`raw_moment` integrates ``x^m f`` itself.
-Higher raw moments integrate ``x^m f(x)`` exactly piece by piece; each piece
-is translated so its midpoint sits at 0 before integrating, which keeps the
+Every moment of a general density comes from one kernel, :func:`_moment_sums`,
+which integrates ``x^m f(x)`` exactly piece by piece.  Each piece is
+translated so its midpoint sits at 0 before integrating, which keeps the
 odd/even split exact and avoids the cancellation the monomial basis suffers
-when breakpoints are far from the origin, then the binomial shift moves the
-result back.  That shift is a polynomial in the piece midpoint, evaluated by
-Horner's rule over blocks of pieces with the powers of the half-width as a
-running product: no array power (which is slow for negative bases) and a
-fixed number of temporaries for every order.  The shape summary takes its
-central moments 2-4 the same way in one pass, on breakpoints shifted by
-``c_0`` and then by the mean, in units of a power of two near the width.
+when breakpoints are far from the origin (Chan, Golub & LeVeque 1983); the
+binomial shift then moves the result back.  That shift is a polynomial in
+the piece midpoint, evaluated by Horner's rule over blocks of pieces with the
+powers of the half-width as a running product: no array power (which is
+slow for negative bases) and a fixed number of temporaries for every order.
+
+Its order-1 and order-2 terms are the paper's trapezoid sums.  On piece i,
+of width ``w_i``, midpoint ``m_i`` and half-width ``h_i = w_i / 2``, the
+kernel's order-1 term ``(R_i + L_{i+1}) h_i m_i + (L_{i+1} - R_i) h_i^2 / 3``
+is, with ``2c_i + c_{i+1} = 3m_i - h_i`` and ``c_i + 2c_{i+1} = 3m_i + h_i``,
+
+    w_i [R_i (2c_i + c_{i+1}) + L_{i+1} (c_i + 2c_{i+1})] / 6,
+
+and on breakpoints shifted by the mean mu its order-2 term
+``(R_i + L_{i+1}) (h_i m_i^2 + h_i^3 / 3) + 2 (L_{i+1} - R_i) h_i^2 m_i / 3`` is
+
+    w_i [R_i (c_{i+1}^2 + 2 c_{i+1} c_i + 3 c_i^2)
+         + L_{i+1} (3 c_{i+1}^2 + 2 c_{i+1} c_i + c_i^2)] / 12,
+
+the paper's variance term at mu = 0.  So mu is the sum of the first over
+the mass, and sigma^2 the sum of the second over the mass.
+
+:func:`summary` works on the breakpoints shifted by ``c_0`` and in units of
+the power of two ``u <= b - a < 2u``: it takes the mean from one pass, then
+the central moments 2-4 from a second pass on the breakpoints shifted by the
+mean too.  The shift keeps far supports accurate; the unit keeps every term
+about the size of a piece's mass at any width, and scaling back by u is
+exact.  :func:`mean` and :func:`variance` are fields of that one stored
+summary.  Mean, variance, and the shape summary are the moments of the
+distribution ``f / mass``, which matters for a mass just inside the
+normalization tolerance; :func:`raw_moment` integrates ``x^m f`` itself.
+
+The vertex-indexed reductions of the same sums for the continuous
+(polygonal) case work in the same ``c_0``-shifted frame and unit.
 """
 
 from __future__ import annotations
@@ -60,76 +73,44 @@ class MomentSummary:
     excess: float
 
 
-def _shifted_mean(d: PiecewiseLinearDensity):
-    """``c_0``, the power of two ``u <= b - a < 2u``, the piece widths, and
-    the breakpoints shifted by ``c_0`` and their mean, both in units of u."""
+def _frame(d: PiecewiseLinearDensity, breakpoints):
+    """``c_0``, the power of two ``u <= b - a < 2u``, ``breakpoints`` (those
+    of ``d``, or of the polygon it came from) shifted by ``c_0`` in units of
+    u, and the mass of a normalized ``d``."""
     require_normalized(d)
-    c0 = d.breakpoints[0]
-    c = d.breakpoints - c0
+    c0 = breakpoints[0]
+    c = breakpoints - c0
     unit = _unit_of(c[-1])
-    w = c[1:] - c[:-1]
     c /= unit
-    lo, hi = c[:-1], c[1:]
-    terms = d.right_limits * (2.0 * lo + hi) + d.left_limits * (lo + 2.0 * hi)
-    return c0, unit, w, c, (w * terms).sum() / 6.0 / raw_mass(d)
-
-
-def mean(d: PiecewiseLinearDensity) -> float:
-    """Expected value, by the exact per-piece trapezoid sum."""
-    return _stored(d, "mean", _mean)
-
-
-def _mean(d: PiecewiseLinearDensity) -> float:
-    c0, unit, _, _, mu = _shifted_mean(d)
-    return float(c0 + float(mu) * unit)
-
-
-def variance(d: PiecewiseLinearDensity) -> float:
-    """Second central moment, by the exact per-piece sum."""
-    return _stored(d, "variance", _variance)
-
-
-def _variance(d: PiecewiseLinearDensity) -> float:
-    _, unit, w, c, mu = _shifted_mean(d)
-    lo, hi = c[:-1], c[1:]
-    r_term = d.right_limits * (
-        hi * hi + 2.0 * hi * lo + 3.0 * lo * lo - 4.0 * mu * hi - 8.0 * mu * lo + 6.0 * mu * mu
-    )
-    l_term = d.left_limits * (
-        3.0 * hi * hi + 2.0 * hi * lo + lo * lo - 8.0 * mu * hi - 4.0 * mu * lo + 6.0 * mu * mu
-    )
-    return float((w * (r_term + l_term)).sum() / 12.0 / raw_mass(d)) * unit * unit
+    return c0, unit, c, raw_mass(d)
 
 
 def _shifted_mean_polygonal(p: PolygonalDensity):
-    """``c_0``, the mass, the shifted mean, and the interior vertex
-    triples ``(H_i, c_{i+1}, c_i, c_{i-1})`` shifted by ``c_0``."""
-    d = promote(p)
-    require_normalized(d)
-    c0 = p.breakpoints[0]
-    c = p.breakpoints - c0
-    h, nxt, cur, prv = p.heights[1:-1], c[2:], c[1:-1], c[:-2]
-    mass = raw_mass(d)
+    """The unit, ``c_0``, the mass, the mean, and the interior vertex
+    triples ``(H_i, c_{i+1}, c_i, c_{i-1})``, in the frame of
+    :func:`_frame`: heights times u, and the mean in units of u."""
+    c0, unit, c, mass = _frame(promote(p), p.breakpoints)
+    h, nxt, cur, prv = p.heights[1:-1] * unit, c[2:], c[1:-1], c[:-2]
     mu = (h * (nxt - prv) * (nxt + cur + prv)).sum() / 6.0 / mass
-    return c0, mass, mu, (h, nxt, cur, prv)
+    return unit, c0, mass, mu, (h, nxt, cur, prv)
 
 
 def mean_polygonal(p: PolygonalDensity) -> float:
     """Expected value via the vertex-indexed reduction of the general sum."""
-    c0, _, mu, _ = _shifted_mean_polygonal(p)
-    return float(c0 + mu)
+    unit, c0, _, mu, _ = _shifted_mean_polygonal(p)
+    return float(c0 + float(mu) * unit)
 
 
 def variance_polygonal(p: PolygonalDensity) -> float:
     """Variance via the vertex-indexed reduction of the general sum."""
-    _, mass, mu, (h, nxt, cur, prv) = _shifted_mean_polygonal(p)
+    unit, _, mass, mu, (h, nxt, cur, prv) = _shifted_mean_polygonal(p)
     poly = (
         nxt * nxt + cur * cur + prv * prv
         + nxt * cur + nxt * prv + cur * prv
         - 4.0 * mu * (nxt + cur + prv)
         + 6.0 * mu * mu
     )
-    return float((h * (nxt - prv) * poly).sum() / 12.0 / mass)
+    return float((h * (nxt - prv) * poly).sum() / 12.0 / mass) * unit * unit
 
 
 # Pieces per block in _moment_sums: a block's temporaries stay in cache,
@@ -218,25 +199,34 @@ def _raw_moment(d: PiecewiseLinearDensity, m: int) -> float:
     return moment
 
 
+def mean(d: PiecewiseLinearDensity) -> float:
+    """Expected value: the ``mean`` of :func:`summary`."""
+    return summary(d).mean
+
+
+def variance(d: PiecewiseLinearDensity) -> float:
+    """Second central moment: the ``variance`` of :func:`summary`."""
+    return summary(d).variance
+
+
 def summary(d: PiecewiseLinearDensity) -> MomentSummary:
     """Mass, mean, variance, std, skewness, and excess kurtosis.
 
-    The breakpoints are shifted by ``c_0`` and then by the mean taken in
-    that frame, and the central moments 2-4 are the raw moments of those
-    coordinates in units of the power of two ``u <= b - a < 2u``, all
-    from one pass over the pieces.  The shift keeps far supports accurate
-    and gives symmetric densities an exactly zero third central moment; the
-    unit keeps the moments near one at any width, and scaling back by it is
-    exact.  Skewness and excess are NaN when the variance is zero.
-    Every moment is divided by the mass once, so they are those of the
-    distribution ``f / mass``.
+    The breakpoints are shifted by ``c_0`` and taken in units of the power
+    of two ``u <= b - a < 2u``; the mean is the order-1 sum of that frame,
+    and the central moments 2-4 are the raw moments of the coordinates
+    shifted by the mean too, from a second pass over the pieces.  The shift
+    keeps far supports accurate; the unit keeps the moments near one at any
+    width, and scaling back by it is exact.  Skewness and excess are NaN
+    when the variance is zero.  Every moment is divided by the mass once,
+    so they are those of the distribution ``f / mass``.
     """
     return _stored(d, "summary", _summary)
 
 
 def _summary(d: PiecewiseLinearDensity) -> MomentSummary:
-    c0, unit, _, c, mu = _shifted_mean(d)
-    mass = raw_mass(d)
+    c0, unit, c, mass = _frame(d, d.breakpoints)
+    mu = _moment_sums(d, c, (1,), unit)[0] / mass
     c2, c3, c4 = (s / mass for s in _moment_sums(d, c - mu, (2, 3, 4), unit))
     var = max(c2, 0.0)
     std = math.sqrt(var)
@@ -246,7 +236,7 @@ def _summary(d: PiecewiseLinearDensity) -> MomentSummary:
         excess = c4 / var ** 2 - 3.0
     return MomentSummary(
         mass=mass,
-        mean=float(c0 + float(mu) * unit),
+        mean=float(c0 + mu * unit),
         variance=var * unit * unit,
         std=std * unit,
         skewness=skew,

@@ -5,10 +5,14 @@ The densities have offsets to 1e12 either side of 0, widths from 1e-12 to
 breakpoints, point values, and a mass up to 0.9e-9 from 1.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, strategies as st
 
 import pwldist as pw
+from perfbench.exact import ExactDensity
 
 OFFSETS = st.sampled_from([0.0, 1.0, -1e6, 1e12, -1e12])
 # Few ticks, so breakpoints often coincide.
@@ -59,3 +63,20 @@ def test_stored_statistics_median_set_and_sample(d, uniforms):
     u = np.concatenate((uniforms, table[table < 1.0]))
     expected = [pw.quantile(d, float(x), "inf") for x in u]
     assert pw.sample(d, u).tolist() == expected
+
+
+@given(densities())
+def test_mean_and_variance_error_budget(d):
+    if d is None:
+        return
+    # One stored summary serves mean and variance.
+    s = pw.summary(d)
+    assert pw.mean(d) is s.mean
+    assert pw.variance(d) is s.variance
+    # Mean within 4 ulps of max(|a|, |b|), variance within 8 ulps of itself,
+    # of the exact moments of f / mass.
+    ref = ExactDensity(d.breakpoints, d.right_limits, d.left_limits)
+    scale = max(abs(ref.lo), abs(ref.hi))
+    assert abs(Fraction(s.mean) - ref.mean) <= 4 * Fraction(math.ulp(scale))
+    ulp = Fraction(math.ulp(float(ref.variance)))
+    assert abs(Fraction(s.variance) - ref.variance) <= 8 * ulp

@@ -92,7 +92,7 @@ def test_stored_entries_are_bounded():
     d = _density()
     for f in STATISTICS.values():
         f(d)
-    assert len(d._results) <= 17
+    assert len(d._results) <= 15
     stored = dict(d._results)
     for x in np.linspace(-4.0, 5.0, 1000):
         p = (x + 4.0) / 9.0
