@@ -8,8 +8,9 @@ rescales so the result integrates to one, using the vertex-sum factor
 which equals the trapezoid-mass factor when the outer heights vanish.  This
 is deliberately not an L2 projection: the fitted curve passes through the
 (rescaled) samples, so closed-form checks against the target stay simple.
-Targets with tails must be truncated by the caller; the outer heights are
-clamped to zero by default.
+Targets with tails must be truncated by the caller.  A polygon's outer
+heights are 0, so the end samples are set to 0 by default; with
+``clamp_ends=False`` they are not kept but refused unless already 0.
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .density import Grid, PolygonalDensity, promote
-from .errors import (
-    NegativeValueError,
-    NotIncreasingError,
-    ZeroMassError,
-)
+from .density import PolygonalDensity, _normalized_polygon, promote
+from .errors import NegativeValueError, NotIncreasingError
 from .evaluate import pdf
 
 
 @dataclass(frozen=True)
 class FitRequest:
-    """Grid values of the target, plus the endpoint-clamping switch."""
+    """Grid values of the target, plus the switch that zeroes the end samples
+    (when off, nonzero end samples are refused: outer heights must be 0)."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -78,13 +76,10 @@ def fit(req: FitRequest) -> PolygonalDensity:
         raise NegativeValueError("ys must be finite and >= 0")
     heights = ys.copy()
     if req.clamp_ends:
-        heights[0] = 0.0
-        heights[-1] = 0.0
-    vertex_sum = float(np.sum(heights[1:-1] * (xs[2:] - xs[:-2])))
-    if vertex_sum <= 0.0:
-        raise ZeroMassError("sampled target carries no mass on this grid")
-    k = 2.0 / vertex_sum
-    return PolygonalDensity(Grid(xs), k * heights)
+        heights[[0, -1]] = 0.0
+    return _normalized_polygon(
+        xs, heights, "sampled target carries no mass on this grid"
+    )
 
 
 def fit_error(

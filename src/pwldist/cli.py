@@ -174,11 +174,7 @@ def parse_spec(text: str) -> DistributionSpecFile:
             )
         elif kind == "triangular":
             _check_fields(doc, kind, ("a", "c", "b"))
-            p = triangular(
-                _as_number(doc["a"], "a"),
-                _as_number(doc["c"], "c"),
-                _as_number(doc["b"], "b"),
-            )
+            p = triangular(*(_as_number(doc[f], f) for f in ("a", "c", "b")))
         else:
             _check_fields(doc, kind, ("a", "c", "d", "b"), ("heights", "w"))
             if ("heights" in doc) == ("w" in doc):
@@ -509,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("fit", cmd_fit, "fit a polygonal density to x,y samples (CSV)")
     p.add_argument("-o", "--output", help="write the fitted spec here")
     p.add_argument("--no-clamp", action="store_true",
-                   help="keep the endpoint sample values instead of zeroing")
+                   help="do not zero the end samples; nonzero ones are refused")
 
     return parser
 

@@ -281,6 +281,23 @@ class PolygonalDensity:
         return abs(raw_mass(promote(self)) - 1.0) <= NORMALIZATION_RTOL
 
 
+def _normalized_polygon(breakpoints, raw_heights, no_mass_message: str):
+    """The polygon through ``raw_heights`` scaled to mass one by the factor
+    ``k = 2 / sum_i H'_i (c_{i+1} - c_{i-1})``, its terms in units of the
+    largest one's power of two, where none overflows or underflows."""
+    grid = Grid(breakpoints)
+    hm, he = np.frexp(np.asarray(raw_heights, dtype=float))
+    sm, se = np.frexp(grid.breakpoints[2:] - grid.breakpoints[:-2])
+    terms, exponents = hm[1:-1] * sm, he[1:-1] + se
+    top = exponents.max(where=terms > 0.0, initial=-4096)  # below every exponent
+    vertex_sum = float(np.ldexp(terms, exponents - top).sum())
+    if not vertex_sum > 0.0:
+        raise ZeroMassError(no_mass_message)
+    with np.errstate(over="ignore"):  # PolygonalDensity refuses an inf height
+        heights = np.ldexp(2.0 / vertex_sum * hm, he - top)
+    return PolygonalDensity(grid, heights)
+
+
 @dataclass(frozen=True)
 class NormalizationReport:
     """Outcome of :func:`normalize`: the raw mass and the factor applied."""

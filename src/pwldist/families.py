@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .density import NORMALIZATION_RTOL, Grid, PolygonalDensity, _unit_of
+from .density import (
+    NORMALIZATION_RTOL, PolygonalDensity, _normalized_polygon, _unit_of,
+)
 from .errors import (
     BadOrderError,
     BadProbabilityError,
@@ -129,9 +131,8 @@ def triangular(a: float, c: float, b: float) -> PolygonalDensity:
     density.
     """
     params = TriangularParams(float(a), float(c), float(b))
-    height = params.apex_height
-    return PolygonalDensity(
-        Grid([params.a, params.c, params.b]), [0.0, height, 0.0]
+    return _normalized_polygon(
+        [params.a, params.c, params.b], [0.0, 1.0, 0.0], "triangle has no mass"
     )
 
 
@@ -147,15 +148,10 @@ def tetragonal(
         float(a), float(c), float(d), float(b),
         float(left_height), float(right_height),
     )
-    raw = params.left_height * (params.d - params.a) + params.right_height * (
-        params.b - params.c
-    )
-    if raw <= 0.0:
-        raise ZeroMassError("raw heights integrate to zero over this support")
-    k = 2.0 / raw
-    return PolygonalDensity(
-        Grid([params.a, params.c, params.d, params.b]),
-        [0.0, k * params.left_height, k * params.right_height, 0.0],
+    return _normalized_polygon(
+        [params.a, params.c, params.d, params.b],
+        [0.0, params.left_height, params.right_height, 0.0],
+        "raw heights integrate to zero over this support",
     )
 
 
@@ -166,14 +162,11 @@ def tetragonal_from_weight(
     w = float(w)
     if not (math.isfinite(w) and 0.0 <= w <= 1.0):
         raise BadProbabilityError(f"weight must lie in [0, 1], got {w}")
-    _require_order(float(a), float(c), float(d), float(b))
-    denom = w * (d - a) + (1.0 - w) * (b - c)
-    if denom <= 0.0:
-        raise ZeroMassError("degenerate geometry: weight denominator is zero")
-    big_c = 2.0 * w / denom
-    big_d = 2.0 * (1.0 - w) / denom
-    return PolygonalDensity(
-        Grid([float(a), float(c), float(d), float(b)]), [0.0, big_c, big_d, 0.0]
+    points = [float(a), float(c), float(d), float(b)]
+    _require_order(*points)
+    return _normalized_polygon(
+        points, [0.0, w, 1.0 - w, 0.0],
+        "degenerate geometry: weight denominator is zero",
     )
 
 
@@ -189,16 +182,16 @@ def triangular_stats(params: TriangularParams) -> TriangularStats:
     (a + b)/2 at the symmetric point.
     """
     a, c, b = params.a, params.c, params.b
-    mean = (a + b + c) / 3.0
-    # Variance and median: a moved to 0, lengths in units of a power of two
-    # u <= b - a < 2u (exact), where no square overflows.
+    # a moved to 0, lengths in units of a power of two u <= b - a < 2u
+    # (exact), where no sum or square overflows.
     u = _unit_of(b - a)
     cs, bs = (c - a) / u, (b - a) / u
+    mean = a + (bs + cs) / 3.0 * u
     variance = (bs * bs + cs * cs - bs * cs) / 18.0 * u * u
-    t = 2.0 * c - a - b
+    t = 2.0 * cs - bs
     sign = int(t > 0.0) - int(t < 0.0)
-    root = math.sqrt(bs * (bs + abs(t) / u)) * u
-    median = (a + b) / 2.0 + (root + a - b) / 2.0 * sign
+    root = math.sqrt(bs * (bs + abs(t)))
+    median = a + (bs + (root - bs) * sign) / 2.0 * u
     return TriangularStats(mean=mean, variance=variance, median=median, mode=c)
 
 
@@ -207,12 +200,11 @@ def tetragonal_mean_alpha(params: TetragonalParams) -> float:
     alpha = params.alpha
     if not math.isfinite(alpha):
         raise ZeroMassError("alpha form needs right_height > 0 (w < 1)")
-    a, c, d, b = params.a, params.c, params.d, params.b
-    return (
-        (alpha * (d - a) * (a + c + d) + (b - c) * (b + c + d))
-        / (alpha * (d - a) + b - c)
-        / 3.0
-    )
+    # a moved to 0, lengths in units of a power of two u <= b - a < 2u.
+    u = _unit_of(params.b - params.a)
+    cs, ds, bs = ((x - params.a) / u for x in (params.c, params.d, params.b))
+    num = alpha * ds * (cs + ds) + (bs - cs) * (bs + cs + ds)
+    return params.a + num / (alpha * ds + bs - cs) / 3.0 * u
 
 
 def _tetragonal_median(params: TetragonalParams) -> float:
@@ -237,7 +229,7 @@ def _tetragonal_median(params: TetragonalParams) -> float:
     if right_mass2 == 1.0:
         return d
     if big_c == big_d:
-        return 1.0 / (2.0 * big_c) + (a + c) / 2.0
+        return 1.0 / (2.0 * big_c) + (a / 2.0 + c / 2.0)
     if d == c:  # each half holds 1/2 to within the normalization tolerance
         return c
     # Middle piece, C != D: solve the quadratic in t = v - c,

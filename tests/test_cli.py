@@ -668,6 +668,21 @@ class TestFitCommand:
         cli.main(["stats", str(DATA / "tri05.json")])
         assert fitted == capsys.readouterr().out
 
+    def test_no_clamp_refuses_nonzero_ends(self, tmp_path, capsys):
+        # Outer heights must be 0: zero ends fit as without the flag, and
+        # nonzero ones are refused rather than kept.
+        curve = tmp_path / "tent.csv"
+        curve.write_text("x,y\n0,0\n0.5,1\n1,0\n")
+        assert cli.main(["fit", str(curve)]) == 0
+        clamped = capsys.readouterr().out
+        assert cli.main(["fit", str(curve), "--no-clamp"]) == 0
+        assert capsys.readouterr().out == clamped
+        curve.write_text("x,y\n0,0.5\n0.5,1\n1,0\n")
+        assert cli.main(["fit", str(curve), "--no-clamp"]) == 1
+        assert capsys.readouterr().err == (
+            "error: outer heights must be 0 (density vanishes outside the support)\n"
+        )
+
     def test_bad_csv(self, tmp_path, capsys):
         curve = tmp_path / "bad.csv"
         curve.write_text("0,0,9\n1,1,9\n")

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 import pwldist as pw
+from oracles import reference_mode_set
 from perfbench.exact import ExactDensity
 
 OFFSETS = st.sampled_from([0.0, 1.0, -1e6, 1e12, -1e12])
@@ -80,3 +81,14 @@ def test_mean_and_variance_error_budget(d):
     assert abs(Fraction(s.mean) - ref.mean) <= 4 * Fraction(math.ulp(scale))
     ulp = Fraction(math.ulp(float(ref.variance)))
     assert abs(Fraction(s.variance) - ref.variance) <= 8 * ulp
+
+
+@given(densities())
+def test_mode_set_matches_the_reference_scan(d):
+    if d is None:
+        return
+    for convention in pw.CONVENTIONS:
+        ms = pw.mode_set(d, convention)
+        sup, loci = reference_mode_set(d, convention)
+        assert ms.f_sup == sup
+        assert [(m.kind, m.position, m.position2) for m in ms.loci] == loci
