@@ -162,8 +162,10 @@ class PiecewiseLinearDensity:
     ``summary``, ``median_set`` and each order of ``raw_moment`` are
     computed once per density and stored on it, and ``mean`` and
     ``variance`` read the stored summary; the stored results are immutable,
-    so threads may share them too.  Mode sets are not stored: one can hold
-    O(n) loci, which would live as long as the density.
+    so threads may share them too.  A mode set is stored per convention
+    only when it has at most 8 loci (``modes._STORED_LOCI``); a larger one
+    can hold O(n) loci and is computed on every call, so a density holds at
+    most 19 stored results.
     """
 
     grid: Grid
@@ -190,7 +192,11 @@ class PiecewiseLinearDensity:
                     f"point_values has {pv.size} entries, expected {npieces + 1}"
                 )
             _check_nonnegative(pv, "point_values")
-        # Canonical form: drop the zero-length pieces (see the class docstring).
+        self._set_canonical(rr, ll, pv)
+
+    def _set_canonical(self, rr, ll, pv) -> None:
+        """Store checked, read-only arrays with the zero-length pieces
+        dropped (see the class docstring)."""
         c = self.grid.breakpoints
         keep = c[1:] > c[:-1]
         if not keep.all():
@@ -348,9 +354,16 @@ def normalize(
 
 
 def promote(p: PolygonalDensity) -> PiecewiseLinearDensity:
-    """View a polygonal density as a general one: ``H_i = L_i = R_i``."""
+    """View a polygonal density as a general one: ``H_i = L_i = R_i``.
+
+    The polygon's heights are already checked and read-only, so the general
+    density shares them instead of copying and checking them again.
+    """
     h = p.heights
-    return PiecewiseLinearDensity(p.grid, h[:-1], h[1:], point_values=h)
+    d = object.__new__(PiecewiseLinearDensity)
+    object.__setattr__(d, "grid", p.grid)
+    d._set_canonical(h[:-1], h[1:], h)
+    return d
 
 
 def canonicalize(d: PiecewiseLinearDensity) -> PiecewiseLinearDensity:
@@ -372,12 +385,15 @@ def scale(d: PiecewiseLinearDensity, s: float) -> PiecewiseLinearDensity:
     )
 
 
-def _stored(d: PiecewiseLinearDensity, key, compute):
-    """The result stored on ``d`` under ``key`` (a str or int), or
-    ``compute(d)``, which is never None, stored there unless it raised."""
+def _stored(d: PiecewiseLinearDensity, key, compute, keep=None):
+    """The result stored on ``d`` under ``key`` (hashable), or ``compute(d)``,
+    which is never None, stored there unless it raised or ``keep(result)``
+    is false."""
     result = d._results.get(key)
     if result is None:
-        result = d._results[key] = compute(d)
+        result = compute(d)
+        if keep is None or keep(result):
+            d._results[key] = result
     return result
 
 

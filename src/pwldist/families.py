@@ -196,15 +196,20 @@ def triangular_stats(params: TriangularParams) -> TriangularStats:
 
 
 def tetragonal_mean_alpha(params: TetragonalParams) -> float:
-    """Tetragonal mean via the alpha = w/(1 - w) form; needs w < 1."""
-    alpha = params.alpha
-    if not math.isfinite(alpha):
+    """Tetragonal mean via the alpha = w/(1 - w) form; needs w < 1.
+
+    Numerator and denominator are divided by max(alpha, 1): the weights
+    (alpha, 1) become (1, D/C) when C > D, so alpha = C/D never overflows.
+    """
+    big_c, big_d = params.left_height, params.right_height
+    if big_d == 0.0:
         raise ZeroMassError("alpha form needs right_height > 0 (w < 1)")
+    lw, rw = (1.0, big_d / big_c) if big_c > big_d else (big_c / big_d, 1.0)
     # a moved to 0, lengths in units of a power of two u <= b - a < 2u.
     u = _unit_of(params.b - params.a)
     cs, ds, bs = ((x - params.a) / u for x in (params.c, params.d, params.b))
-    num = alpha * ds * (cs + ds) + (bs - cs) * (bs + cs + ds)
-    return params.a + num / (alpha * ds + bs - cs) / 3.0 * u
+    num = lw * ds * (cs + ds) + rw * (bs - cs) * (bs + cs + ds)
+    return params.a + num / (lw * ds + rw * (bs - cs)) / 3.0 * u
 
 
 def _tetragonal_median(params: TetragonalParams) -> float:

@@ -27,6 +27,12 @@ confines them to interior pieces, because the same argument applies.
 Equality against f_sup uses a relative tolerance of 1e-12
 (``density._MODE_RTOL``, with a scale floor of 1e-300) to absorb rounding
 in normalized heights.
+
+A mode set with at most ``_STORED_LOCI`` (8) loci is stored on the density
+per convention, so a repeat :func:`mode_set` call returns the same object.
+A larger set (a flat density has one locus or more per breakpoint) is
+computed on every call, so a density keeps O(1) stored results.
+``f_sup`` is not stored; it is computed on every call.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .density import (
     _MODE_RTOL_FLOOR,
     PiecewiseLinearDensity,
     PolygonalDensity,
+    _stored,
 )
 from .evaluate import breakpoint_values
 
@@ -51,6 +58,9 @@ CONVENTIONS = (
 )
 
 DEFAULT_CONVENTION = "limits_only"
+
+# The most loci a mode set may hold and still be stored on its density.
+_STORED_LOCI = 8
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,12 @@ def _padded_limits(d: PiecewiseLinearDensity):
     return left_full, right_full
 
 
-def _candidate_values(d: PiecewiseLinearDensity, convention: str):
+def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
+
+
+def _candidate_values(d: PiecewiseLinearDensity, convention: str):
     left_full, right_full = _padded_limits(d)
     use_points = convention in ("point_and_limits", "point_and_mean_limits")
     use_limits = convention in ("point_and_limits", "limits_only")
@@ -105,6 +118,7 @@ def _supremum(left_full, right_full, pv, means, use_limits) -> float:
 
 def f_sup(d: PiecewiseLinearDensity, convention: str = DEFAULT_CONVENTION) -> float:
     """Supremum density value under the given convention."""
+    _check_convention(convention)
     return _supremum(*_candidate_values(d, convention))
 
 
@@ -121,7 +135,21 @@ def mode_set(
     The candidate tests run as masks over all breakpoints; only the
     breakpoints that some test hits are visited to emit their loci, in the
     order limit locus, point-value locus, ``half-half``, ``open-interval``.
+    A set of at most ``_STORED_LOCI`` loci is stored on ``d``.
     """
+    _check_convention(convention)
+    convention = str(convention)  # a numpy string shares the entry
+    return _stored(
+        d, ("mode_set", convention), lambda d: _mode_set(d, convention),
+        keep=_is_small,
+    )
+
+
+def _is_small(ms: ModeSet) -> bool:
+    return len(ms.loci) <= _STORED_LOCI
+
+
+def _mode_set(d: PiecewiseLinearDensity, convention: str) -> ModeSet:
     candidates = _candidate_values(d, convention)
     left_full, right_full, pv, means, use_limits = candidates
     sup = _supremum(*candidates)

@@ -199,6 +199,30 @@ def test_promote_matches_heights():
     assert_allclose(pw.raw_mass(d), 1.0, rtol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "c, h",
+    [
+        ([0, 0.5, 1], [0, 2, 0]),
+        ([0, 1, 1, 2, 2, 2, 3], [0, 0.5, 1.5, 0.25, 0.75, 0.5, 0]),
+        ([-1e12, -1e12, 5.0, 5.0], [0, 0, 2e-12, 0]),
+    ],
+)
+def test_promote_equals_the_checked_constructor(c, h):
+    heights = np.array(h, dtype=float)
+    p = pw.PolygonalDensity(pw.Grid(c), heights)
+    d = pw.promote(p)
+    ref = pw.PiecewiseLinearDensity(p.grid, p.heights[:-1], p.heights[1:], p.heights)
+    assert np.all(np.diff(d.breakpoints) > 0.0)
+    for name in ("breakpoints", "right_limits", "left_limits", "point_values"):
+        got, want = getattr(d, name), getattr(ref, name)
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+        assert not got.flags.writeable
+    # The caller's array is not shared: writing it changes nothing.
+    heights[1:-1] = 7.0
+    assert d.point_values.tobytes() == ref.point_values.tobytes()
+    assert d._results == {} and repr(pw.raw_moment(d, 2)) == repr(pw.raw_moment(ref, 2))
+
+
 def test_polygonal_requires_zero_outer_heights():
     with pytest.raises(pw.DensityError):
         pw.PolygonalDensity(pw.Grid([0, 1, 2]), [0.5, 1, 0])

@@ -6,6 +6,7 @@ route can drift without the other noticing.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ class TestParameterChecks:
         with pytest.raises(pw.ZeroMassError) as err:
             tetragonal_mean_alpha(pw.TetragonalParams(0, 0.5, 1, 2, 1, 0))
         assert str(err.value) == "alpha form needs right_height > 0 (w < 1)"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (0.0, 1.0, 2.0, 3.0, 1e308, 1e-10),  # alpha = C/D overflows
+            (0.0, 2.9, 3.0, 3.1, 1e308, 2.0),  # finite alpha of 5e307
+            (0.0, 1.0, 2.0, 3.0, 1e-10, 1e308),
+            (-1e12, -1e12 + 1.0, -1e12 + 2.0, -1e12 + 3.0, 0.25, 0.75),
+            (5.0, 5.5, 7.0, 9.0, 0.75, 0.25),
+        ],
+    )
+    def test_alpha_mean_against_the_exact_mean(self, params):
+        a, c, d, b, big_c, big_d = params
+        # Exact integrals of f and x f over the three linear pieces.
+        vertices = [(a, 0.0), (c, big_c), (d, big_d), (b, 0.0)]
+        mass = moment = Fraction(0)
+        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
+            x0, y0, x1, y1 = map(Fraction, (x0, y0, x1, y1))
+            mass += (y0 + y1) * (x1 - x0) / 2
+            moment += (x1 - x0) * (x0 * (2 * y0 + y1) + x1 * (y0 + 2 * y1)) / 6
+        got = tetragonal_mean_alpha(pw.TetragonalParams(*params))
+        ulp = Fraction(math.ulp(max(abs(a), abs(b))))
+        assert abs(Fraction(got) - moment / mass) <= 4 * ulp
 
     @pytest.mark.parametrize(
         "build",

@@ -6,13 +6,16 @@ breakpoints, point values, and a mass up to 0.9e-9 from 1.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import pwldist as pw
 from oracles import reference_mode_set
+from pwldist.modes import _STORED_LOCI
 from perfbench.exact import ExactDensity
 
 OFFSETS = st.sampled_from([0.0, 1.0, -1e6, 1e12, -1e12])
@@ -92,3 +95,30 @@ def test_mode_set_matches_the_reference_scan(d):
         sup, loci = reference_mode_set(d, convention)
         assert ms.f_sup == sup
         assert [(m.kind, m.position, m.position2) for m in ms.loci] == loci
+        # A small set is stored: the repeat call returns the same object.
+        again = pw.mode_set(d, convention)
+        assert (again is ms) == (len(loci) <= _STORED_LOCI)
+        assert repr(again) == repr(ms)
+
+
+@given(densities())
+def test_infinities_give_the_limits_and_nan_raises(d):
+    if d is None:
+        return
+    # The cdf's total mass is its prefix table's last entry; the pairwise
+    # raw_mass sums the same pieces in another order.
+    mass = float(pw.cdf_table(d).cumulative[-1])
+    assert math.isclose(mass, pw.raw_mass(d), rel_tol=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rule in ("given", "max", "mean"):
+            assert pw.pdf(d, -math.inf, rule) == 0.0
+            assert pw.pdf(d, math.inf, rule) == 0.0
+            assert pw.pdf(d, [-math.inf, math.inf], rule).tolist() == [0.0, 0.0]
+        assert pw.cdf(d, -math.inf) == 0.0
+        assert pw.cdf(d, math.inf) == mass == pw.cdf(d, d.support[1])
+        assert pw.cdf(d, [-math.inf, math.inf]).tolist() == [0.0, mass]
+    for f in (pw.pdf, pw.cdf):
+        for x in (math.nan, [0.0, math.nan]):
+            with pytest.raises(pw.OutOfSupportError):
+                f(d, x)

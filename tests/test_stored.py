@@ -1,11 +1,13 @@
 """Statistics stored on a density: computed once, then returned as stored.
 
-``summary``, ``mean``, ``variance``, ``median_set`` and each order of
-``raw_moment`` keep their result on the density.  A repeat call must return
-the very same object, bit-equal to what a fresh, equal density computes;
-errors must stay errors on every call and leave nothing behind; queries with
-continuous arguments must store nothing; and a queried density must still
-pickle, copy, and serve many threads at once.
+``summary``, ``mean``, ``variance``, ``median_set``, each order of
+``raw_moment`` and each convention's ``mode_set`` of at most
+``modes._STORED_LOCI`` loci keep their result on the density.  A repeat
+call must return the very same object, bit-equal to what a fresh, equal
+density computes; errors must stay errors on every call and leave nothing
+behind; queries with continuous arguments, larger mode sets and ``f_sup``
+must store nothing; and a queried density must still pickle, copy, and serve
+many threads at once.
 """
 
 import copy
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import pwldist as pw
+from pwldist.modes import _STORED_LOCI
 
 ORDERS = range(pw.MAX_MOMENT_ORDER + 1)
 
@@ -42,6 +45,7 @@ STATISTICS = {
     "variance": pw.variance,
     "median_set": pw.median_set,
     **{f"raw_moment({m})": (lambda d, m=m: pw.raw_moment(d, m)) for m in ORDERS},
+    **{f"mode_set({c})": (lambda d, c=c: pw.mode_set(d, c)) for c in pw.CONVENTIONS},
 }
 
 
@@ -92,7 +96,7 @@ def test_stored_entries_are_bounded():
     d = _density()
     for f in STATISTICS.values():
         f(d)
-    assert len(d._results) <= 15
+    assert len(d._results) <= 19
     stored = dict(d._results)
     for x in np.linspace(-4.0, 5.0, 1000):
         p = (x + 4.0) / 9.0
@@ -102,10 +106,34 @@ def test_stored_entries_are_bounded():
     assert d._results == stored
 
 
-def test_mode_sets_are_not_stored():
+def test_numpy_and_python_conventions_share_an_entry():
     d = _density()
-    pw.mode_set(d)
-    pw.f_sup(d)
+    ms = pw.mode_set(d, np.str_("point_and_limits"))
+    assert pw.mode_set(d, "point_and_limits") is ms
+    assert repr(ms) == repr(pw.mode_set(_fresh(d), "point_and_limits"))
+    assert len(d._results) == 1
+
+
+def test_large_mode_sets_and_f_sup_store_nothing():
+    d = pw.validate(np.arange(1001.0), np.full(1000, 1e-3), np.full(1000, 1e-3))
+    for convention in pw.CONVENTIONS:
+        ms = pw.mode_set(d, convention)
+        assert len(ms.loci) > _STORED_LOCI
+        again = pw.mode_set(d, convention)
+        assert again is not ms and repr(again) == repr(ms)
+        pw.f_sup(d, convention)
+    assert d._results == {}
+
+
+@pytest.mark.parametrize("convention", ["limits", "", None, ["limits_only"]])
+def test_bad_convention_raises_the_same_and_stores_nothing(convention):
+    d = _density()
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            pw.mode_set(d, convention)
+        messages.add(str(info.value))
+    assert len(messages) == 1
     assert d._results == {}
 
 
@@ -121,10 +149,12 @@ def test_queried_density_round_trips(clone):
 def test_threads_share_one_fresh_density():
     d = _density()
     expected = (repr(pw.summary(_fresh(d))),
-                [repr(pw.raw_moment(_fresh(d), m)) for m in ORDERS])
+                [repr(pw.raw_moment(_fresh(d), m)) for m in ORDERS],
+                [repr(pw.mode_set(_fresh(d), c)) for c in pw.CONVENTIONS])
 
     def query(_):
-        return repr(pw.summary(d)), [repr(pw.raw_moment(d, m)) for m in ORDERS]
+        return (repr(pw.summary(d)), [repr(pw.raw_moment(d, m)) for m in ORDERS],
+                [repr(pw.mode_set(d, c)) for c in pw.CONVENTIONS])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -135,11 +165,13 @@ def test_threads_share_one_fresh_density():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == expected for r in results)
-    assert len(d._results) == 1 + len(ORDERS)
+    assert len(d._results) == 1 + len(ORDERS) + len(pw.CONVENTIONS)
 
 
 def test_stored_objects_are_immutable():
     d = _density()
-    for stored, field in ((pw.summary(d), "mean"), (pw.median_set(d), "v_min")):
+    for stored, field in (
+        (pw.summary(d), "mean"), (pw.median_set(d), "v_min"), (pw.mode_set(d), "loci")
+    ):
         with pytest.raises(AttributeError):
             setattr(stored, field, math.nan)
