@@ -337,8 +337,13 @@ def cmd_eval(args) -> int:
     d = spec.density
     lo = d.support[0] if args.from_x is None else args.from_x
     hi = d.support[1] if args.to_x is None else args.to_x
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadOrderError(f"--from and --to must be finite, got {lo} and {hi}")
     if not lo <= hi:
         raise BadOrderError(f"--from must not exceed --to, got {lo} > {hi}")
+    # Checked in Python floats: np.linspace would warn on the overflow.
+    if hi - lo == math.inf:
+        raise BadOrderError(f"grid width overflows: --from {lo} to --to {hi}")
     xs = np.linspace(lo, hi, args.steps + 1)
     values = evaluate.pdf(d, xs) if args.what == "pdf" else evaluate.cdf(d, xs)
     _write_rows(xs, values, args.exact)

@@ -5,6 +5,15 @@ largest ``j`` with ``c_j <= x``, capped at ``n`` so the closed support maps
 to valid pieces.  The CDF on piece ``j`` is the breakpoint prefix mass plus
 the trapezoid area from ``c_j`` to ``x``; at a breakpoint it reproduces the
 table entry exactly because both take the same summation path.
+
+``pdf`` and ``cdf`` have two routes, chosen by the shape of ``x``.  An
+array goes through numpy kernels, whose fixed cost of a few dozen numpy
+calls is shared by all its points.  A 0-d ``x`` goes through Python
+floats: one ``searchsorted`` on the stored breakpoints, then a handful of
+float operations, so a single value costs O(log n) and no per-call array
+work.  Both routes do the same IEEE operations in the same order, so a
+scalar call returns the same float as that value inside an array call;
+the tests pin the two together bit for bit.
 """
 
 from __future__ import annotations
@@ -60,12 +69,16 @@ def breakpoint_values(
     return _values_at_breakpoints(d, point_rule, np.arange(d.breakpoints.size))
 
 
+def _check_point_rule(point_rule: str) -> None:
+    if point_rule not in POINT_RULES:
+        raise ValueError(f"point_rule must be one of {POINT_RULES}")
+
+
 def _values_at_breakpoints(
     d: PiecewiseLinearDensity, point_rule: str, i: np.ndarray
 ) -> np.ndarray:
     """``breakpoint_values(d, point_rule)[i]``, computed at ``i`` only."""
-    if point_rule not in POINT_RULES:
-        raise ValueError(f"point_rule must be one of {POINT_RULES}")
+    _check_point_rule(point_rule)
     if point_rule == "given" and d.point_values is not None:
         return d.point_values[i]
     last = d.right_limits.size  # index of c_{n+1}, where R_{n+1} = 0
@@ -74,6 +87,20 @@ def _values_at_breakpoints(
     if point_rule == "mean":
         return (left + right) / 2.0
     return np.maximum(left, right)
+
+
+def _value_at_breakpoint(
+    d: PiecewiseLinearDensity, point_rule: str, i: int
+) -> float:
+    """``_values_at_breakpoints`` at one index, in Python floats."""
+    if point_rule == "given" and d.point_values is not None:
+        return d.point_values.item(i)
+    left = d.left_limits.item(i - 1) if i > 0 else 0.0
+    right = d.right_limits.item(i) if i < d.right_limits.size else 0.0
+    if point_rule == "mean":
+        return (left + right) / 2.0
+    # np.maximum keeps the second of two equal values, a signed zero too.
+    return left if left > right else right
 
 
 def _interp(d: PiecewiseLinearDensity, xs: np.ndarray, j: np.ndarray):
@@ -87,38 +114,87 @@ def _interp(d: PiecewiseLinearDensity, xs: np.ndarray, j: np.ndarray):
     return h, right, right * (1.0 - t) + d.left_limits[j] * t
 
 
+def _interp_at(d: PiecewiseLinearDensity, x: float, j: int):
+    """``_interp`` at one point, in Python floats."""
+    c = d.breakpoints
+    lo = c.item(j)
+    h = x - lo
+    t = h / (c.item(j + 1) - lo)
+    right = d.right_limits.item(j)
+    return h, right, right * (1.0 - t) + d.left_limits.item(j) * t
+
+
+def _scalar(x):
+    """``x`` as a Python float when it is 0-d, else None (an array)."""
+    if isinstance(x, float):  # np.float64 too, without a numpy call
+        return float(x)
+    xs = np.asarray(x, dtype=float)
+    return xs.item() if xs.ndim == 0 else None
+
+
 def _locate(c: np.ndarray, x):
     """``x`` as a 1-d array clamped to the support, so that no infinity
-    reaches the interpolation, whether it was a scalar, the index ``i`` of
-    the last breakpoint at or below it, its piece ``j`` (``i`` capped at
-    ``n``), and the masks of exact breakpoint hits (clamped values among
-    them) and of values outside the support.  Raises OutOfSupport for NaN.
-    Breakpoints are strictly increasing, so a hit is ``x == c_i``.
+    reaches the interpolation, the index ``i`` of the last breakpoint at or
+    below it, its piece ``j`` (``i`` capped at ``n``), and the masks of
+    exact breakpoint hits (clamped values among them) and of values outside
+    the support.  Raises OutOfSupport for NaN.  Breakpoints are strictly
+    increasing, so a hit is ``x == c_i``.
     """
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    if scalar:
-        xs = xs.reshape(1)
     if np.isnan(xs).any():
         raise OutOfSupportError("x is NaN, which lies in no support")
     inside = xs.clip(c[0], c[-1])
     # Counting c_1 ... c_{n+1} at or below x gives i, in 0 ... n+1, directly.
     i = c[1:].searchsorted(inside, side="right")
     j = np.minimum(i, c.size - 2)
-    return inside, scalar, i, j, c[i] == inside, inside != xs
+    return inside, i, j, c[i] == inside, inside != xs
+
+
+def _locate_at(c: np.ndarray, x: float):
+    """``_locate`` at one point: ``x`` clamped to the support, ``i`` and
+    ``j``, in Python numbers.  A hit is ``c.item(i) == inside``."""
+    if x != x:
+        raise OutOfSupportError("x is NaN, which lies in no support")
+    inside = min(max(x, c.item(0)), c.item(-1))
+    # Counting c_0 ... c_{n+1} at or below the clamped x gives i + 1.
+    i = int(c.searchsorted(inside, side="right")) - 1
+    return inside, i, min(i, c.size - 2)
+
+
+def _pdf_at(d: PiecewiseLinearDensity, x: float, point_rule: str) -> float:
+    """``pdf`` at one point, in Python floats."""
+    inside, i, j = _locate_at(d.breakpoints, x)
+    _check_point_rule(point_rule)
+    if inside != x:
+        return 0.0
+    if d.breakpoints.item(i) == inside:
+        return _value_at_breakpoint(d, point_rule, i)
+    return _interp_at(d, inside, j)[2]
+
+
+def _cdf_at(d: PiecewiseLinearDensity, table: np.ndarray, x: float) -> float:
+    """``cdf`` at one point, in Python floats."""
+    inside, i, j = _locate_at(d.breakpoints, x)
+    if d.breakpoints.item(i) == inside:
+        return table.item(i)
+    h, right, f = _interp_at(d, inside, j)
+    return table.item(j) + h * (right + f) / 2.0
 
 
 def pdf(d: PiecewiseLinearDensity, x, point_rule: str = "given"):
     """Density at ``x``: 0 outside the support, linear interpolation of
     ``(R_j, L_{j+1})`` strictly inside piece ``j``, and the point-value
-    convention exactly at breakpoints.  Accepts a scalar or an array;
-    raises OutOfSupport for NaN.
+    convention exactly at breakpoints.  Accepts a scalar, giving a float,
+    or an array; raises OutOfSupport for NaN.
     """
-    xs, scalar, i, j, at_breakpoint, outside = _locate(d.breakpoints, x)
+    point = _scalar(x)
+    if point is not None:
+        return _pdf_at(d, point, point_rule)
+    xs, i, j, at_breakpoint, outside = _locate(d.breakpoints, x)
     _, _, vals = _interp(d, xs, j)
     vals[at_breakpoint] = _values_at_breakpoints(d, point_rule, i[at_breakpoint])
     vals[outside] = 0.0
-    return float(vals[0]) if scalar else vals
+    return vals
 
 
 def cdf_table(d: PiecewiseLinearDensity) -> CdfTable:
@@ -134,14 +210,16 @@ def cdf(d: PiecewiseLinearDensity, x):
 
     0 for ``x <= c_0``, the total mass for ``x >= c_{n+1}``, and prefix
     mass plus the partial-piece trapezoid term in between; continuous and
-    nondecreasing.  Accepts a scalar or an array; raises OutOfSupport for
-    NaN.
+    nondecreasing.  Accepts a scalar, giving a float, or an array; raises
+    OutOfSupport for NaN.
     """
     table = cdf_table(d).cumulative
-    xs, scalar, i, j, at_breakpoint, _ = _locate(d.breakpoints, x)
+    point = _scalar(x)
+    if point is not None:
+        return _cdf_at(d, table, point)
+    xs, i, j, at_breakpoint, _ = _locate(d.breakpoints, x)
     h, right, f = _interp(d, xs, j)
     vals = table[j] + h * (right + f) / 2.0
     # On a breakpoint return the table entry itself; a value outside the
     # support sits on c_0 or c_{n+1}, whose entry is 0 or the total mass.
-    vals = np.where(at_breakpoint, table[i], vals)
-    return float(vals[0]) if scalar else vals
+    return np.where(at_breakpoint, table[i], vals)

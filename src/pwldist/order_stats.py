@@ -2,13 +2,20 @@
 
 The CDF of a piecewise-linear density is continuous and nondecreasing but
 not necessarily strictly increasing: it is flat across zero-density pieces.
-A probability level therefore has a whole preimage interval.  One kernel,
-``_inverse_cdf``, finds an end of it for each of an array of levels, the
-lower or the upper end as flagged per level: it locates the first (lower
-end) or last (upper end) piece whose cumulative-mass bracket holds the
-level and solves that piece's quadratic ``F(v) = p``.  A preimage, and so
-the median set, is one call over ``[p, p]``; point quantiles and sampling
-use it too.
+A probability level therefore has a whole preimage interval.  Its lower
+end lies on the first piece whose cumulative-mass bracket holds the level,
+its upper end on the last; either is found by one binary search and that
+piece's quadratic ``F(v) = p``, O(log n) work.
+
+There are two routes through that solve, chosen by the input's shape.
+Preimages, point quantiles and the median set take one level at a time:
+``_preimage_end`` solves for one end in Python floats, with no per-call
+array work, since a numpy kernel on a 1- or 2-element array would spend
+most of its time in the fixed cost of a few dozen numpy calls.  Sampling
+takes an array of levels and needs lower ends only: ``_inverse_cdf``
+solves them all in numpy.  Both do the same IEEE operations in the same
+order, so they return the same floats; the tests pin them together, and
+to the two-ended array kernel they replaced, bit for bit.
 
 The level is first clamped to the total mass, which may fall short of 1 by
 up to ``NORMALIZATION_RTOL``; the search then always ends on a piece of
@@ -33,6 +40,7 @@ wherever those do not overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,25 +76,13 @@ class QuantilePreimage:
     p: float
 
 
-def _inverse_cdf(d: PiecewiseLinearDensity, p, upper) -> np.ndarray:
-    """Ends of ``{x : F(x) = p}``, elementwise over ``p``: the upper
-    (supremum) end where ``upper`` is true, else the lower (infimum) end.
-
-    ``upper`` is one flag for every level or an array of flags, one per
-    level, so a single call over ``[p, p]`` solves both ends of a preimage.
-    ``upper=False`` skips the upper-end steps altogether.
-    """
+def _inverse_cdf(d: PiecewiseLinearDensity, p: np.ndarray) -> np.ndarray:
+    """Lower (infimum) ends of ``{x : F(x) = p}``, elementwise over ``p``."""
     c = d.breakpoints
     table = cdf_table(d).cumulative
-    mass = table[-1]
-    p = np.minimum(p, mass)
-    key = p
-    if upper is not False:
-        # The last piece starting at or below p (searchsorted side="right")
-        # is the last one starting strictly below the next float above p.
-        key = np.where(upper, np.nextafter(p, np.inf), p)
-    # Counting F(c_1) ... F(c_n) below the key gives j, in 0 ... n, directly.
-    j = table[1:-1].searchsorted(key)
+    p = np.minimum(p, table[-1])
+    # Counting F(c_1) ... F(c_n) below p gives j, in 0 ... n, directly.
+    j = table[1:-1].searchsorted(p)
     lo = c[j]
     w = c[j + 1] - lo
     # w = m * 2**e with 1/2 <= m < 1, so unit = 2**(e - 1) <= w = 2m unit.
@@ -99,18 +95,40 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p, upper) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
         h = 2.0 * q / (beta + np.sqrt(disc)) * unit
-    x = lo + np.minimum(np.where(q <= 0.0, 0.0, h), w)
-    if upper is not False:
-        x = np.where(upper & (p >= min(mass, 1.0)), c[-1], x)
-    return x
+    return lo + np.minimum(np.where(q <= 0.0, 0.0, h), w)
 
 
-_BOTH_ENDS = np.array([False, True])
-
-
-def _preimage_ends(d: PiecewiseLinearDensity, p: float) -> list[float]:
-    """``[lower, upper]`` ends of ``{x : F(x) = p}``, from one solve."""
-    return _inverse_cdf(d, (p, p), _BOTH_ENDS).tolist()
+def _preimage_end(d: PiecewiseLinearDensity, p: float, upper: bool) -> float:
+    """One end of ``{x : F(x) = p}``, the upper (supremum) one if ``upper``:
+    ``_inverse_cdf`` at one level, in Python floats, with the same
+    operations in the same order."""
+    c = d.breakpoints
+    table = cdf_table(d).cumulative
+    mass = table.item(-1)
+    p = min(p, mass)
+    if upper and p >= min(mass, 1.0):
+        return c.item(-1)
+    # The last piece starting at or below p is the last one starting
+    # strictly below the next float above p.
+    key = math.nextafter(p, math.inf) if upper else p
+    # The count of F(c_1) ... F(c_n) below the key, j, as in _inverse_cdf,
+    # but without a slice: the whole table adds F(c_0) = 0 when the key is
+    # positive, and never the total mass, which the key does not exceed.
+    j = max(int(table.searchsorted(key)) - 1, 0)
+    lo = c.item(j)
+    w = c.item(j + 1) - lo
+    m, e = math.frexp(w)
+    unit = math.ldexp(0.5, e)
+    right = d.right_limits.item(j)
+    beta = right * unit
+    alpha = (d.left_limits.item(j) - right) * unit / (4.0 * m)
+    q = p - table.item(j)
+    if q <= 0.0:
+        return lo + 0.0  # not lo itself, which may be -0.0
+    root = beta + math.sqrt(max(beta * beta + 4.0 * alpha * q, 0.0))
+    # A zero root gives h = inf under numpy, so the piece's right end.
+    h = 2.0 * q / root * unit if root else math.inf
+    return lo + min(h, w)
 
 
 def _checked_level(d: PiecewiseLinearDensity, p: float) -> float:
@@ -129,8 +147,9 @@ def quantile_preimage(d: PiecewiseLinearDensity, p: float) -> QuantilePreimage:
     ``p`` at or above the total mass, the upper end is the support supremum.
     """
     p = _checked_level(d, p)
-    lower, upper = _preimage_ends(d, p)
-    return QuantilePreimage(lower=lower, upper=upper, p=p)
+    return QuantilePreimage(
+        lower=_preimage_end(d, p, False), upper=_preimage_end(d, p, True), p=p
+    )
 
 
 def quantile(d: PiecewiseLinearDensity, p: float, rule: str = "inf") -> float:
@@ -142,9 +161,8 @@ def quantile(d: PiecewiseLinearDensity, p: float, rule: str = "inf") -> float:
         raise ValueError(f"rule must be one of {QUANTILE_RULES}")
     p = _checked_level(d, p)
     if rule == "mid":
-        lower, upper = _preimage_ends(d, p)
-        return lower / 2.0 + upper / 2.0
-    return float(_inverse_cdf(d, p, rule == "sup"))
+        return _preimage_end(d, p, False) / 2.0 + _preimage_end(d, p, True) / 2.0
+    return _preimage_end(d, p, rule == "sup")
 
 
 def median_set(d: PiecewiseLinearDensity) -> MedianSet:
@@ -161,7 +179,7 @@ def median_set(d: PiecewiseLinearDensity) -> MedianSet:
 
 def _median_set(d: PiecewiseLinearDensity) -> MedianSet:
     pre = quantile_preimage(d, 0.5)
-    f_lower, f_upper = cdf(d, [pre.lower, pre.upper]).tolist()
+    f_lower, f_upper = cdf(d, pre.lower), cdf(d, pre.upper)
     return MedianSet(
         v_min=pre.lower,
         v_max=pre.upper,
@@ -181,4 +199,4 @@ def sample(d: PiecewiseLinearDensity, uniforms) -> np.ndarray:
     if not ((u >= 0.0) & (u < 1.0)).all():
         raise BadProbabilityError("uniform variates must lie in [0, 1)")
     require_normalized(d)
-    return _inverse_cdf(d, u, False)
+    return _inverse_cdf(d, u)

@@ -2,7 +2,9 @@
 
 Everything here is computed straight from raw breakpoint/limit arrays with
 scipy quadrature or elementary algebra, never through the library under test,
-so every closed-form result has an independent second route.
+so every closed-form result has an independent second route.  The one
+exception is ``reference_inverse_cdf``: the library's earlier array kernel,
+kept so that its Python-float replacement can be pinned to it bit for bit.
 """
 
 import numpy as np
@@ -186,3 +188,37 @@ def top_exponent(d):
     if heights.size:
         k = min(k, int(np.frexp(heights.min())[1]) + 1021)
     return k
+
+
+def reference_inverse_cdf(d, p, upper):
+    """Ends of ``{x : F(x) = p}``, elementwise over ``p``: the upper
+    (supremum) end where ``upper`` is true, else the lower (infimum) end.
+
+    The two-ended numpy kernel that ``quantile``, ``quantile_preimage`` and
+    ``median_set`` used before they took one level at a time in Python
+    floats; their results must equal its results bit for bit.  It reads
+    the density's own cdf prefix table.
+    """
+    c = d.breakpoints
+    table = d._cumulative
+    mass = table[-1]
+    p = np.minimum(p, mass)
+    # The last piece starting at or below p (searchsorted side="right")
+    # is the last one starting strictly below the next float above p.
+    key = np.where(upper, np.nextafter(p, np.inf), p)
+    # Counting F(c_1) ... F(c_n) below the key gives j, in 0 ... n, directly.
+    j = table[1:-1].searchsorted(key)
+    lo = c[j]
+    w = c[j + 1] - lo
+    # w = m * 2**e with 1/2 <= m < 1, so unit = 2**(e - 1) <= w = 2m unit.
+    m, e = np.frexp(w)
+    unit = np.ldexp(0.5, e)
+    right = d.right_limits[j]
+    beta = right * unit
+    alpha = (d.left_limits[j] - right) * unit / (4.0 * m)
+    q = p - table[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum(beta * beta + 4.0 * alpha * q, 0.0)
+        h = 2.0 * q / (beta + np.sqrt(disc)) * unit
+    x = lo + np.minimum(np.where(q <= 0.0, 0.0, h), w)
+    return np.where(upper & (p >= min(mass, 1.0)), c[-1], x)

@@ -409,6 +409,22 @@ class TestEvalCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            (["--to", "inf", "--what", "cdf"], "must be finite"),
+            (["--from=-1e308", "--to=1e308"], "grid width overflows"),
+            (["--from", "nan"], "must be finite"),
+        ],
+    )
+    def test_unusable_window(self, capsys, window, message):
+        # A RuntimeWarning from the grid would be an error under pytest.
+        rc = cli.main(["eval", str(DATA / "tri03.json"), *window])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("what", ["pdf", "cdf"])
     @pytest.mark.parametrize(

@@ -107,7 +107,7 @@ def test_pdf_vector_matches_scalar():
     d = _two_triangle()
     xs = np.linspace(-0.5, 3.5, 41)
     vec = pw.pdf(d, xs)
-    assert_allclose(vec, [pw.pdf(d, float(x)) for x in xs], rtol=1e-15)
+    assert vec.tolist() == [pw.pdf(d, float(x)) for x in xs]
 
 
 def test_pdf_matches_reference_interpolant():
@@ -201,7 +201,7 @@ def test_cdf_matches_quadrature():
 def test_cdf_vector_matches_scalar():
     d = _step()
     xs = np.linspace(-1, 3, 33)
-    assert_allclose(pw.cdf(d, xs), [pw.cdf(d, float(x)) for x in xs], rtol=1e-15)
+    assert pw.cdf(d, xs).tolist() == [pw.cdf(d, float(x)) for x in xs]
 
 
 def test_nan_raises_and_infinities_keep_their_limits():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pwldist as pw
-from oracles import reference_mode_set
+from oracles import reference_inverse_cdf, reference_mode_set
 from pwldist.modes import _STORED_LOCI
 from perfbench.exact import ExactDensity
 
@@ -122,3 +122,118 @@ def test_infinities_give_the_limits_and_nan_raises(d):
         for x in (math.nan, [0.0, math.nan]):
             with pytest.raises(pw.OutOfSupportError):
                 f(d, x)
+
+
+# Levels where the preimage ends meet the ends of the support or the float
+# grid below 1, besides 1/2 for the median set.
+LEVELS = [-0.0, 0.0, 0.5, 1.0, 1.0 - 2.0**-53]
+
+
+def _same(x, y) -> bool:
+    """Bit-equal Python floats: ``repr`` tells ``-0.0`` from ``0.0``, and a
+    numpy scalar from a float."""
+    return repr(x) == repr(y)
+
+
+def _scaled(d, k):
+    """``d`` with breakpoints times ``2**k`` and heights times ``2**-k``, or
+    None where that leaves the floats or the normalization tolerance."""
+    heights = (d.right_limits, d.left_limits, d.point_values)
+    with np.errstate(over="ignore"):
+        scaled = [None if h is None else np.ldexp(h, -k) for h in heights]
+        c = np.ldexp(d.breakpoints, k)
+    try:
+        ds = pw.validate(c, *scaled)
+    except pw.DensityError:
+        return None
+    return ds if ds.is_normalized else None
+
+
+def check_routes_agree(d, fractions=()):
+    """The scalar route gives the array route's floats, bit for bit.
+
+    Quantiles under every rule, preimages and the median set against the
+    two-ended array kernel they replaced, at every cumulative mass up to 1;
+    scalar pdf and cdf against the same points inside one array call: at
+    breakpoints, inside pieces, outside the support and at signed zeros and
+    infinities.  ``fractions`` in [0, 1] add levels and points.
+    """
+    table = pw.cdf_table(d).cumulative
+    ps = [*LEVELS, *fractions, *table[table <= 1.0].tolist()]
+    lower = reference_inverse_cdf(d, np.array(ps), False).tolist()
+    upper = reference_inverse_cdf(d, np.array(ps), True).tolist()
+    for p, lo, hi in zip(ps, lower, upper):
+        assert _same(pw.quantile(d, p, "inf"), lo)
+        assert _same(pw.quantile(d, p, "sup"), hi)
+        assert _same(pw.quantile(d, p, "mid"), lo / 2.0 + hi / 2.0)
+        pre = pw.quantile_preimage(d, p)
+        assert _same((pre.lower, pre.upper), (lo, hi))
+    ms = pw.median_set(d)
+    assert _same((ms.v_min, ms.v_max), (lower[2], upper[2]))
+
+    c = d.breakpoints
+    a, b = d.support
+    xs = [
+        *c.tolist(),
+        *(c[:-1] / 2.0 + c[1:] / 2.0).tolist(),
+        *(a + t * (b - a) for t in fractions),
+        a - (b - a), b + (b - a), 0.0, -0.0, -math.inf, math.inf,
+    ]
+    for x, want in zip(xs, pw.cdf(d, np.array(xs)).tolist()):
+        assert _same(pw.cdf(d, x), want)
+    for rule in pw.POINT_RULES:
+        for x, want in zip(xs, pw.pdf(d, np.array(xs), rule).tolist()):
+            assert _same(pw.pdf(d, x, rule), want)
+
+
+@given(densities(), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_scalar_and_array_routes_agree(d, fractions):
+    if d is None:
+        return
+    check_routes_agree(d, fractions)
+    # Far out and far in: the solve works in units of each piece's width.
+    for k in (900, -900):
+        ds = _scaled(d, k)
+        if ds is not None:
+            check_routes_agree(ds, fractions)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        # quantile(0) is lo + 0.0, which is 0.0, not the -0.0 left end; at
+        # c_1 the "max" rule keeps the second of 0.0 and -0.0, as numpy does.
+        pw.validate([-0.0, 1.0, 2.0], [0.5, -0.0], [0.0, 1.5]),
+        # Flat pieces: alpha = 0, so the root is q / beta.
+        pw.validate([0.0, 1.0, 3.0], [0.5, 0.25], [0.5, 0.25]),
+        # A trailing zero piece, and a mass 5e-10 short of 1.
+        pw.validate([0.0, 1.0, 2.0], [1.0 - 5e-10, 0.0], [1.0 - 5e-10, 0.0]),
+        # A piece wider than 2**1023, with subnormal heights.
+        pw.validate([0.0, 1.7e308], [1 / 1.7e308], [1 / 1.7e308]),
+    ],
+    ids=["negative-zero-end", "flat", "trailing-zero", "widest"],
+)
+def test_scalar_and_array_routes_agree_by_hand(d):
+    assert d.is_normalized
+    check_routes_agree(d, [0.25, 0.75])
+
+
+SCALARS = [1, 0.5, np.float64(0.5), np.float32(0.1), np.int64(1), np.array(0.25)]
+
+
+@pytest.mark.parametrize("x", SCALARS, ids=lambda x: type(x).__name__)
+def test_scalars_give_floats_and_arrays_give_arrays(x):
+    d = pw.validate([0.0, 1.0, 2.0], [0.75, 0.25], [0.5, 0.5])
+    # Every 0-d input is read as np.asarray(x, dtype=float) would read it.
+    want = np.asarray(x, dtype=float).reshape(1)
+    assert _same(pw.cdf(d, x), pw.cdf(d, want).tolist()[0])
+    for rule in pw.POINT_RULES:
+        assert _same(pw.pdf(d, x, rule), pw.pdf(d, want, rule).tolist()[0])
+    lo, hi = (reference_inverse_cdf(d, want, upper).tolist()[0] for upper in (False, True))
+    assert _same(pw.quantile(d, x, "inf"), lo)
+    assert _same(pw.quantile(d, x, "sup"), hi)
+    pre = pw.quantile_preimage(d, x)
+    assert _same((pre.lower, pre.upper, pre.p), (lo, hi, want.tolist()[0]))
+    for listed in ([x], np.array([x])):
+        assert isinstance(pw.cdf(d, listed), np.ndarray)
+        assert isinstance(pw.pdf(d, listed), np.ndarray)
