@@ -98,12 +98,14 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p: np.ndarray) -> np.ndarray:
     return lo + np.minimum(np.where(q <= 0.0, 0.0, h), w)
 
 
-def _preimage_end(d: PiecewiseLinearDensity, p: float, upper: bool) -> float:
+def _preimage_end(
+    d: PiecewiseLinearDensity, table: np.ndarray, p: float, upper: bool
+) -> float:
     """One end of ``{x : F(x) = p}``, the upper (supremum) one if ``upper``:
     ``_inverse_cdf`` at one level, in Python floats, with the same
-    operations in the same order."""
+    operations in the same order.  ``table`` is ``cdf_table(d).cumulative``.
+    """
     c = d.breakpoints
-    table = cdf_table(d).cumulative
     mass = table.item(-1)
     p = min(p, mass)
     if upper and p >= min(mass, 1.0):
@@ -147,8 +149,11 @@ def quantile_preimage(d: PiecewiseLinearDensity, p: float) -> QuantilePreimage:
     ``p`` at or above the total mass, the upper end is the support supremum.
     """
     p = _checked_level(d, p)
+    table = cdf_table(d).cumulative
     return QuantilePreimage(
-        lower=_preimage_end(d, p, False), upper=_preimage_end(d, p, True), p=p
+        lower=_preimage_end(d, table, p, False),
+        upper=_preimage_end(d, table, p, True),
+        p=p,
     )
 
 
@@ -160,9 +165,11 @@ def quantile(d: PiecewiseLinearDensity, p: float, rule: str = "inf") -> float:
     if rule not in QUANTILE_RULES:
         raise ValueError(f"rule must be one of {QUANTILE_RULES}")
     p = _checked_level(d, p)
+    table = cdf_table(d).cumulative
     if rule == "mid":
-        return _preimage_end(d, p, False) / 2.0 + _preimage_end(d, p, True) / 2.0
-    return _preimage_end(d, p, rule == "sup")
+        lower = _preimage_end(d, table, p, False)
+        return lower / 2.0 + _preimage_end(d, table, p, True) / 2.0
+    return _preimage_end(d, table, p, rule == "sup")
 
 
 def median_set(d: PiecewiseLinearDensity) -> MedianSet:
