@@ -101,9 +101,11 @@ def _inverse_cdf(d: PiecewiseLinearDensity, p: np.ndarray) -> np.ndarray:
 def _preimage_end(
     d: PiecewiseLinearDensity, table: np.ndarray, p: float, upper: bool
 ) -> float:
-    """One end of ``{x : F(x) = p}``, the upper (supremum) one if ``upper``:
-    ``_inverse_cdf`` at one level, in Python floats, with the same
-    operations in the same order.  ``table`` is ``cdf_table(d).cumulative``.
+    """One end of ``{x : F(x) = p}``, the upper (supremum) one if ``upper``,
+    in Python floats.  It does ``_inverse_cdf``'s operations in the same
+    order; the upper end searches with the next float above ``p`` and ends
+    at ``c_{n+1}`` once ``p`` reaches the total mass or 1.  ``table`` is
+    ``cdf_table(d).cumulative``.
     """
     c = d.breakpoints
     mass = table.item(-1)
