@@ -229,7 +229,7 @@ def test_scalars_give_floats_and_arrays_give_arrays(x):
     assert _same(pw.cdf(d, x), pw.cdf(d, want).tolist()[0])
     for rule in pw.POINT_RULES:
         assert _same(pw.pdf(d, x, rule), pw.pdf(d, want, rule).tolist()[0])
-    lo, hi = (reference_inverse_cdf(d, want, upper).tolist()[0] for upper in (False, True))
+    lo, hi = (reference_inverse_cdf(d, want, up).tolist()[0] for up in (False, True))
     assert _same(pw.quantile(d, x, "inf"), lo)
     assert _same(pw.quantile(d, x, "sup"), hi)
     pre = pw.quantile_preimage(d, x)
