@@ -159,13 +159,14 @@ class PiecewiseLinearDensity:
 
     Values are immutable after construction; all operations on them are
     pure functions, so instances can be shared freely across threads.
-    ``summary``, ``median_set`` and each order of ``raw_moment`` are
-    computed once per density and stored on it, and ``mean`` and
-    ``variance`` read the stored summary; the stored results are immutable,
-    so threads may share them too.  A mode set is stored per convention
-    only when it has at most 8 loci (``modes._STORED_LOCI``); a larger one
-    can hold O(n) loci and is computed on every call, so a density holds at
-    most 19 stored results.
+    ``summary``, ``median_set`` and the tuple of all 13 orders of
+    ``raw_moment`` are computed once per density and stored on it;
+    ``mean`` and ``variance`` read the stored summary, and each order of
+    ``raw_moment`` reads the stored tuple.  The stored results are
+    immutable, so threads may share them too.  A mode set is stored per
+    convention only when it has at most 8 loci (``modes._STORED_LOCI``); a
+    larger one can hold O(n) loci and is computed on every call, so a
+    density holds at most 7 stored results.
     """
 
     grid: Grid
@@ -217,7 +218,8 @@ class PiecewiseLinearDensity:
         object.__setattr__(self, "_results", {})
 
     # Derived data, computed on first use and kept for the instance's life;
-    # read them through raw_mass() and evaluate.cdf_table().
+    # the public routes to them are raw_mass() and evaluate.cdf_table(), and
+    # the cdf and inverse-cdf kernels read _cumulative itself.
     @cached_property
     def _mass(self) -> float:
         return float(

@@ -213,7 +213,7 @@ def cdf(d: PiecewiseLinearDensity, x):
     nondecreasing.  Accepts a scalar, giving a float, or an array; raises
     OutOfSupport for NaN.
     """
-    table = cdf_table(d).cumulative
+    table = d._cumulative
     point = _scalar(x)
     if point is not None:
         return _cdf_at(d, table, point)

@@ -35,6 +35,9 @@ exact.  :func:`mean` and :func:`variance` are fields of that one stored
 summary.  Mean, variance, and the shape summary are the moments of the
 distribution ``f / mass``, which matters for a mass just inside the
 normalization tolerance; :func:`raw_moment` integrates ``x^m f`` itself.
+Its orders ``0 ... 12`` are likewise fields of one stored tuple, taken in
+one pass on the first call of any order: the first call costs the pass of
+all 13, and every later one is a lookup.
 
 The vertex-indexed reductions of the same sums for the continuous
 (polygonal) case work in the same ``c_0``-shifted frame and unit.
@@ -175,28 +178,32 @@ def _moment_sums(d: PiecewiseLinearDensity, c, orders, unit) -> list[float]:
 def raw_moment(d: PiecewiseLinearDensity, m: int) -> float:
     """Exact ``E[X^m]`` for integer ``0 <= m <= 12``.
 
-    Integrates ``x^m f(x)`` piece by piece about each piece's midpoint and
-    moves the result back with the binomial expansion in the midpoint,
-    evaluated by Horner's rule (see the module docstring).
+    A field of one stored tuple, as ``mean`` is of :func:`summary`: the
+    first call on a density takes every order ``0 ... 12`` in one pass,
+    integrating ``x^m f(x)`` piece by piece about each piece's midpoint and
+    moving the result back with the binomial expansion in the midpoint,
+    evaluated by Horner's rule (see the module docstring).  Each order's
+    accumulator does the same operations whatever orders share the pass.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"moment order must be a nonnegative integer, got {m!r}")
     if m > MAX_MOMENT_ORDER:
         raise OrderTooLargeError(
             f"moment order {m} exceeds the supported maximum {MAX_MOMENT_ORDER}"
         )
-    m = int(m)
-    return _stored(d, m, lambda d: _raw_moment(d, m))
+    return _stored(d, "raw_moments", _raw_moments)[m]
 
 
-def _raw_moment(d: PiecewiseLinearDensity, m: int) -> float:
+def _raw_moments(d: PiecewiseLinearDensity) -> tuple[float, ...]:
     # A support is at least one ulp of its ends wide, so |x|/unit < 2**54;
     # Python multiplies scale back, inf only where E[X^m] itself overflows.
     unit = _unit_of(d.grid.b - d.grid.a)
-    moment = _moment_sums(d, d.breakpoints / unit, (m,), unit)[0]
-    for _ in range(m):
-        moment *= unit
-    return moment
+    orders = range(MAX_MOMENT_ORDER + 1)
+    sums = _moment_sums(d, d.breakpoints / unit, orders, unit)
+    for m in orders:
+        for _ in range(m):
+            sums[m] *= unit
+    return tuple(sums)
 
 
 def mean(d: PiecewiseLinearDensity) -> float:

@@ -52,7 +52,7 @@ from .density import (
     require_normalized,
 )
 from .errors import BadProbabilityError
-from .evaluate import cdf, cdf_table
+from .evaluate import cdf
 
 QUANTILE_RULES = ("inf", "sup", "mid")
 
@@ -79,7 +79,7 @@ class QuantilePreimage:
 def _inverse_cdf(d: PiecewiseLinearDensity, p: np.ndarray) -> np.ndarray:
     """Lower (infimum) ends of ``{x : F(x) = p}``, elementwise over ``p``."""
     c = d.breakpoints
-    table = cdf_table(d).cumulative
+    table = d._cumulative
     p = np.minimum(p, table[-1])
     # Counting F(c_1) ... F(c_n) below p gives j, in 0 ... n, directly.
     j = table[1:-1].searchsorted(p)
@@ -105,7 +105,7 @@ def _preimage_end(
     in Python floats.  It does ``_inverse_cdf``'s operations in the same
     order; the upper end searches with the next float above ``p`` and ends
     at ``c_{n+1}`` once ``p`` reaches the total mass or 1.  ``table`` is
-    ``cdf_table(d).cumulative``.
+    the density's stored cdf prefix table, ``d._cumulative``.
     """
     c = d.breakpoints
     mass = table.item(-1)
@@ -151,7 +151,7 @@ def quantile_preimage(d: PiecewiseLinearDensity, p: float) -> QuantilePreimage:
     ``p`` at or above the total mass, the upper end is the support supremum.
     """
     p = _checked_level(d, p)
-    table = cdf_table(d).cumulative
+    table = d._cumulative
     return QuantilePreimage(
         lower=_preimage_end(d, table, p, False),
         upper=_preimage_end(d, table, p, True),
@@ -167,7 +167,7 @@ def quantile(d: PiecewiseLinearDensity, p: float, rule: str = "inf") -> float:
     if rule not in QUANTILE_RULES:
         raise ValueError(f"rule must be one of {QUANTILE_RULES}")
     p = _checked_level(d, p)
-    table = cdf_table(d).cumulative
+    table = d._cumulative
     if rule == "mid":
         lower = _preimage_end(d, table, p, False)
         return lower / 2.0 + _preimage_end(d, table, p, True) / 2.0

@@ -2,13 +2,17 @@
 
 Everything here is computed straight from raw breakpoint/limit arrays with
 scipy quadrature or elementary algebra, never through the library under test,
-so every closed-form result has an independent second route.  The one
-exception is ``reference_inverse_cdf``: the library's earlier array kernel,
-kept so that its Python-float replacement can be pinned to it bit for bit.
+so every closed-form result has an independent second route.  The two
+exceptions are ``reference_inverse_cdf`` and ``reference_raw_moment``: the
+library's earlier per-call kernels, kept so that what replaced them can be
+pinned to them bit for bit.
 """
 
 import numpy as np
 from scipy import integrate
+
+from pwldist.density import _unit_of
+from pwldist.moments import _moment_sums
 
 
 def oracle_pdf(breakpoints, right_limits, left_limits):
@@ -222,3 +226,18 @@ def reference_inverse_cdf(d, p, upper):
         h = 2.0 * q / (beta + np.sqrt(disc)) * unit
     x = lo + np.minimum(np.where(q <= 0.0, 0.0, h), w)
     return np.where(upper & (p >= min(mass, 1.0)), c[-1], x)
+
+
+def reference_raw_moment(d, m):
+    """``E[X^m]`` of ``d`` from a pass over the pieces for order ``m`` alone.
+
+    The per-order computation ``raw_moment`` made before it took every
+    order in one stored pass; each order must keep its bits.
+    """
+    # A support is at least one ulp of its ends wide, so |x|/unit < 2**54;
+    # Python multiplies scale back, inf only where E[X^m] itself overflows.
+    unit = _unit_of(d.grid.b - d.grid.a)
+    moment = _moment_sums(d, d.breakpoints / unit, (m,), unit)[0]
+    for _ in range(m):
+        moment *= unit
+    return moment

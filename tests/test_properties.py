@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pwldist as pw
-from oracles import reference_inverse_cdf, reference_mode_set
+from oracles import reference_inverse_cdf, reference_mode_set, reference_raw_moment
 from pwldist.modes import _STORED_LOCI
 from perfbench.exact import ExactDensity
 
@@ -196,6 +196,18 @@ def test_scalar_and_array_routes_agree(d, fractions):
         ds = _scaled(d, k)
         if ds is not None:
             check_routes_agree(ds, fractions)
+
+
+@given(densities(), st.integers(0, pw.MAX_MOMENT_ORDER))
+def test_raw_moments_keep_their_per_order_bits(d, first):
+    if d is None:
+        return
+    # Whichever order comes first takes all of them in one pass, and each
+    # equals a pass for its order alone, near and far from the origin.
+    for ds in (d, _scaled(d, 900), _scaled(d, -900)):
+        if ds is not None:
+            for m in (first, *range(pw.MAX_MOMENT_ORDER + 1)):
+                assert _same(pw.raw_moment(ds, m), reference_raw_moment(ds, m))
 
 
 @pytest.mark.parametrize(
