@@ -13,12 +13,14 @@ fields of that kind:
 
 Unknown fields are rejected.  ``point_values`` is optional.
 
-Output conventions: key-value lines ``name = value`` for scalar results,
-two-column CSV under an ``x,value`` header for eval and sample (for
-sample the first column holds the uniform variate that produced the row),
-one-line ``error: ...`` diagnostics on stderr with exit status 1 for
-domain errors (argparse handles usage errors with status 2).  Numbers
-print with 12 significant digits, or 17 under ``--exact``.
+Each ``cmd_*`` returns an ``_Output`` record and writes nothing; ``main``
+passes it to ``_render``, the one place where the output conventions live:
+key-value lines ``name = value`` for scalar results, two-column CSV under
+an ``x,value`` header for eval and sample (for sample the first column
+holds the uniform variate that produced the row), and numbers with 12
+significant digits, or 17 under ``--exact``.  Domain errors print one
+``error: ...`` line on stderr with exit status 1 (argparse handles usage
+errors with status 2).
 
 Sampling is deterministic: ``--seed S`` expands to uniforms through the
 64-bit linear congruential generator
@@ -40,6 +42,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,6 +149,8 @@ def parse_spec(text: str) -> DistributionSpecFile:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nesting or digit limits
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("spec must be a JSON object")
     kind = doc.get("kind")
@@ -212,35 +217,37 @@ def _load(path: str) -> DistributionSpecFile:
     return parse_spec(_read_text(path))
 
 
-def _fmt(x: float, exact: bool) -> str:
-    return ("%.17g" if exact else "%.12g") % float(x)
+class _Output(NamedTuple):
+    """What a command prints: ``(name, value)`` lines (a None name prints
+    the bare value), ``x,value`` rows, or a spec whose report is ``lines``."""
+
+    lines: list
+    rows: tuple | None = None
+    spec: dict | None = None
 
 
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def _render_locus(locus: modes.ModeLocus, exact: bool) -> str:
-    if locus.kind == "open-interval":
-        return (
-            f"open-interval ({_fmt(locus.position, exact)}, "
-            f"{_fmt(locus.position2, exact)})"
-        )
-    return f"{locus.kind} {_fmt(locus.position, exact)}"
+def _text(value, exact: bool) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, tuple):  # the support
+        return f"[{_text(value[0], exact)}, {_text(value[1], exact)}]"
+    if isinstance(value, modes.ModeLocus):
+        at = _text(value.position, exact)
+        if value.kind == "open-interval":
+            return f"open-interval ({at}, {_text(value.position2, exact)})"
+        return f"{value.kind} {at}"
+    return ("%.17g" if exact else "%.12g") % float(value)
 
 
 def _ensure_normalized(
     d: PiecewiseLinearDensity, autonormalize: bool
 ) -> PiecewiseLinearDensity:
     if autonormalize:
-        scaled, _ = density.normalize(d)
-        return scaled
+        return density.normalize(d)[0]
     density.require_normalized(d)
     return d
-
-
-def _write_lines(lines: list[str]) -> None:
-    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _write_rows(xs: np.ndarray, values: np.ndarray, exact: bool) -> None:
@@ -253,34 +260,45 @@ def _write_rows(xs: np.ndarray, values: np.ndarray, exact: bool) -> None:
         sys.stdout.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _emit_spec(payload: dict, out_path: str | None, report: list[str]) -> None:
-    text = json.dumps(payload) + "\n"
-    report_text = "".join(line + "\n" for line in report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        sys.stdout.write(report_text)
-    else:
+def _render(out: _Output, args) -> None:
+    """Print ``out``: a spec goes to ``-o`` and its report to stdout, or
+    without ``-o`` the spec to stdout and the report to stderr."""
+    if out.rows is not None:
+        return _write_rows(*out.rows, args.exact)
+    text = "".join(
+        f"{_text(value, args.exact)}\n" if name is None
+        else f"{name} = {_text(value, args.exact)}\n"
+        for name, value in out.lines
+    )
+    if out.spec is None:
         sys.stdout.write(text)
-        sys.stderr.write(report_text)
+    elif args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(out.spec) + "\n")
+        sys.stdout.write(text)
+    else:
+        sys.stdout.write(json.dumps(out.spec) + "\n")
+        sys.stderr.write(text)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> _Output:
     spec = _load(args.file)
     d = spec.density
-    mass = density.raw_mass(d)
-    _write_lines([
-        f"kind = {spec.kind}",
-        f"pieces = {d.breakpoints.size - 1}",
-        f"support = [{_fmt(d.support[0], args.exact)}, "
-        f"{_fmt(d.support[1], args.exact)}]",
-        f"mass = {_fmt(mass, args.exact)}",
-        f"normalized = {_fmt_bool(d.is_normalized)}",
+    return _Output([
+        ("kind", spec.kind),
+        ("pieces", d.breakpoints.size - 1),
+        ("support", d.support),
+        ("mass", density.raw_mass(d)),
+        ("normalized", d.is_normalized),
     ])
-    return 0
 
 
-def cmd_normalize(args) -> int:
+def _polygon_spec(breakpoints: np.ndarray, heights: np.ndarray) -> dict:
+    return {"kind": "polygonal", "breakpoints": breakpoints.tolist(),
+            "heights": heights.tolist()}
+
+
+def cmd_normalize(args) -> _Output:
     spec = _load(args.file)
     scaled, report = density.normalize(spec.density)
     if spec.kind == "piecewise_linear":
@@ -294,45 +312,31 @@ def cmd_normalize(args) -> int:
             payload["point_values"] = scaled.point_values.tolist()
     else:
         p = spec.polygonal
-        payload = {
-            "kind": "polygonal",
-            "breakpoints": p.breakpoints.tolist(),
-            "heights": (p.heights * report.factor_k).tolist(),
-        }
-    _emit_spec(payload, args.output, [
-        f"raw_mass = {_fmt(report.raw_mass, args.exact)}",
-        f"factor_k = {_fmt(report.factor_k, args.exact)}",
-    ])
-    return 0
+        payload = _polygon_spec(p.breakpoints, p.heights * report.factor_k)
+    lines = [("raw_mass", report.raw_mass), ("factor_k", report.factor_k)]
+    return _Output(lines, spec=payload)
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> _Output:
     spec = _load(args.file)
     d = _ensure_normalized(spec.density, args.autonormalize)
     s = moments.summary(d)
     lines = [
-        f"mass = {_fmt(s.mass, args.exact)}",
-        f"mean = {_fmt(s.mean, args.exact)}",
-        f"variance = {_fmt(s.variance, args.exact)}",
-        f"std = {_fmt(s.std, args.exact)}",
-        f"skewness = {_fmt(s.skewness, args.exact)}",
-        f"excess = {_fmt(s.excess, args.exact)}",
+        (name, getattr(s, name))
+        for name in ("mass", "mean", "variance", "std", "skewness", "excess")
     ]
     ms = order_stats.median_set(d)
     if ms.v_min == ms.v_max:
-        lines.append(f"median = {_fmt(ms.v_min, args.exact)}")
+        lines.append(("median", ms.v_min))
     else:
-        lines.append(f"median_min = {_fmt(ms.v_min, args.exact)}")
-        lines.append(f"median_max = {_fmt(ms.v_max, args.exact)}")
+        lines += [("median_min", ms.v_min), ("median_max", ms.v_max)]
     mset = modes.mode_set(d, args.convention)
-    lines.append(f"f_sup = {_fmt(mset.f_sup, args.exact)}")
-    for locus in mset.loci:
-        lines.append(f"mode = {_render_locus(locus, args.exact)}")
-    _write_lines(lines)
-    return 0
+    lines.append(("f_sup", mset.f_sup))
+    lines += [("mode", locus) for locus in mset.loci]
+    return _Output(lines)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> _Output:
     spec = _load(args.file)
     d = spec.density
     lo = d.support[0] if args.from_x is None else args.from_x
@@ -346,92 +350,78 @@ def cmd_eval(args) -> int:
         raise BadOrderError(f"grid width overflows: --from {lo} to --to {hi}")
     xs = np.linspace(lo, hi, args.steps + 1)
     values = evaluate.pdf(d, xs) if args.what == "pdf" else evaluate.cdf(d, xs)
-    _write_rows(xs, values, args.exact)
-    return 0
+    return _Output([], rows=(xs, values))
 
 
-def cmd_quantile(args) -> int:
+def cmd_quantile(args) -> _Output:
     spec = _load(args.file)
     d = _ensure_normalized(spec.density, args.autonormalize)
     pre = order_stats.quantile_preimage(d, args.p)
-    value = order_stats.quantile(d, args.p, args.rule)
-    _write_lines([
-        f"preimage_lower = {_fmt(pre.lower, args.exact)}",
-        f"preimage_upper = {_fmt(pre.upper, args.exact)}",
-        f"quantile = {_fmt(value, args.exact)}",
+    return _Output([
+        ("preimage_lower", pre.lower),
+        ("preimage_upper", pre.upper),
+        ("quantile", order_stats.quantile(d, args.p, args.rule)),
     ])
-    return 0
 
 
-def cmd_median(args) -> int:
+def cmd_median(args) -> _Output:
     spec = _load(args.file)
     d = _ensure_normalized(spec.density, args.autonormalize)
     ms = order_stats.median_set(d)
-    _write_lines([
-        f"median_min = {_fmt(ms.v_min, args.exact)}",
-        f"median_max = {_fmt(ms.v_max, args.exact)}",
-        f"min_attained = {_fmt_bool(ms.min_attained)}",
-        f"max_attained = {_fmt_bool(ms.max_attained)}",
+    return _Output([
+        ("median_min", ms.v_min),
+        ("median_max", ms.v_max),
+        ("min_attained", ms.min_attained),
+        ("max_attained", ms.max_attained),
     ])
-    return 0
 
 
-def cmd_mode(args) -> int:
+def cmd_mode(args) -> _Output:
     spec = _load(args.file)
     mset = modes.mode_set(spec.density, args.convention)
-    lines = [f"f_sup = {_fmt(mset.f_sup, args.exact)}"]
-    lines.extend(_render_locus(locus, args.exact) for locus in mset.loci)
-    _write_lines(lines)
-    return 0
+    return _Output([("f_sup", mset.f_sup)] + [(None, l) for l in mset.loci])
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> _Output:
     spec = _load(args.file)
     d = _ensure_normalized(spec.density, args.autonormalize)
     uniforms = seeded_uniforms(args.seed, args.n)
-    values = order_stats.sample(d, uniforms)
-    _write_rows(uniforms, values, args.exact)
-    return 0
+    return _Output([], rows=(uniforms, order_stats.sample(d, uniforms)))
 
 
 def _read_xy_csv(path: str) -> tuple[list[float], list[float]]:
     xs: list[float] = []
     ys: list[float] = []
-    lines = io.StringIO(_read_text(path, newline=""), newline="")
-    for lineno, row in enumerate(csv.reader(lines), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise ParseError(
-                f"line {lineno}: expected two columns, got {len(row)}"
-            )
-        try:
-            x, y = float(row[0]), float(row[1])
-        except ValueError:
-            if lineno == 1:
+    reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
                 continue
-            raise ParseError(f"line {lineno}: non-numeric value") from None
-        xs.append(x)
-        ys.append(y)
+            if len(row) != 2:
+                raise ParseError(
+                    f"line {lineno}: expected two columns, got {len(row)}"
+                )
+            try:
+                x, y = float(row[0]), float(row[1])
+            except ValueError:
+                if lineno == 1:
+                    continue
+                raise ParseError(f"line {lineno}: non-numeric value") from None
+            xs.append(x)
+            ys.append(y)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     return xs, ys
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> _Output:
     xs, ys = _read_xy_csv(args.file)
     req = approximation.FitRequest.from_points(
         xs, ys, clamp_ends=not args.no_clamp
     )
     p = approximation.fit(req)
-    payload = {
-        "kind": "polygonal",
-        "breakpoints": p.breakpoints.tolist(),
-        "heights": p.heights.tolist(),
-    }
-    _emit_spec(payload, args.output, [
-        f"points = {len(xs)}",
-        f"pieces = {p.breakpoints.size - 1}",
-    ])
-    return 0
+    lines = [("points", len(xs)), ("pieces", p.breakpoints.size - 1)]
+    return _Output(lines, spec=_polygon_spec(p.breakpoints, p.heights))
 
 
 def _count(text: str) -> int:
@@ -453,30 +443,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str):
+    def add(name: str, handler, help_text: str, *, output=False,
+            convention=False, autonormalize=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="density spec file (JSON)")
         p.add_argument(
             "--exact", action="store_true",
             help="print 17 significant digits instead of 12",
         )
+        if output:
+            p.add_argument("-o", "--output", help="save the spec to this file")
+        if convention:
+            p.add_argument("--convention", choices=modes.CONVENTIONS,
+                           default=modes.DEFAULT_CONVENTION,
+                           help="f_sup convention for modes")
+        if autonormalize:
+            p.add_argument("--autonormalize", action="store_true",
+                           help="rescale unnormalized input rather than fail")
         p.set_defaults(handler=handler)
         return p
 
     add("validate", cmd_validate, "check a spec and report basic facts")
-
-    p = add("normalize", cmd_normalize, "rescale to unit mass, emit a spec")
-    p.add_argument("-o", "--output", help="write the normalized spec here")
-
-    p = add("stats", cmd_stats, "moment summary, median, and modes")
-    p.add_argument(
-        "--convention", choices=modes.CONVENTIONS,
-        default=modes.DEFAULT_CONVENTION, help="f_sup convention for modes",
-    )
-    p.add_argument(
-        "--autonormalize", action="store_true",
-        help="rescale unnormalized input instead of refusing",
-    )
+    add("normalize", cmd_normalize, "rescale to unit mass, emit a spec",
+        output=True)
+    add("stats", cmd_stats, "moment summary, median, and modes",
+        convention=True, autonormalize=True)
 
     p = add("eval", cmd_eval, "tabulate pdf or cdf as CSV")
     p.add_argument("--what", choices=("pdf", "cdf"), default="pdf")
@@ -487,28 +478,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count, default=100,
                    help="number of grid intervals (rows = steps + 1)")
 
-    p = add("quantile", cmd_quantile, "quantile and preimage at a level p")
+    p = add("quantile", cmd_quantile, "quantile and preimage at a level p",
+            autonormalize=True)
     p.add_argument("-p", type=float, required=True, help="probability level")
     p.add_argument("--rule", choices=order_stats.QUANTILE_RULES, default="inf")
-    p.add_argument("--autonormalize", action="store_true")
 
-    p = add("median", cmd_median, "median set with attainment flags")
-    p.add_argument("--autonormalize", action="store_true")
+    add("median", cmd_median, "median set with attainment flags",
+        autonormalize=True)
+    add("mode", cmd_mode, "f_sup and the mode loci", convention=True)
 
-    p = add("mode", cmd_mode, "f_sup and the mode loci")
-    p.add_argument(
-        "--convention", choices=modes.CONVENTIONS,
-        default=modes.DEFAULT_CONVENTION,
-    )
-
-    p = add("sample", cmd_sample, "deterministic inverse-transform samples")
+    p = add("sample", cmd_sample, "deterministic inverse-transform samples",
+            autonormalize=True)
     p.add_argument("-n", type=_count, required=True, help="number of draws")
     p.add_argument("--seed", type=int, required=True,
                    help="seed for the documented 64-bit LCG")
-    p.add_argument("--autonormalize", action="store_true")
 
-    p = add("fit", cmd_fit, "fit a polygonal density to x,y samples (CSV)")
-    p.add_argument("-o", "--output", help="write the fitted spec here")
+    p = add("fit", cmd_fit, "fit a polygonal density to x,y samples (CSV)",
+            output=True)
     p.add_argument("--no-clamp", action="store_true",
                    help="do not zero the end samples; nonzero ones are refused")
 
@@ -518,10 +504,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _render(args.handler(args), args)
     except (DensityError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

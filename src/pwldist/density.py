@@ -352,6 +352,12 @@ def normalize(
     if not mass > 0.0:
         raise ZeroMassError("density integrates to zero; nothing to normalize")
     k = 1.0 / mass
+    if k == math.inf:  # mass below 2**-1024
+        raise ZeroMassError(
+            f"cannot normalize mass {mass!r}: 1/mass overflows"
+        )
+    if k == 0.0:
+        raise ZeroMassError("cannot normalize: the mass overflows to inf")
     return scale(d, k), NormalizationReport(raw_mass=mass, factor_k=k)
 
 

@@ -22,7 +22,8 @@ class NotNondecreasingError(DensityError):
 
 
 class ZeroMassError(DensityError):
-    """The unnormalized function integrates to zero."""
+    """The unnormalized function integrates to zero, or to a mass that a
+    float factor ``1/mass`` cannot normalize."""
 
 
 class OutOfSupportError(DensityError):

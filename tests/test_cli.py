@@ -229,6 +229,21 @@ class TestValidateCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: field 'b' must be finite\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200000,  # nested deeper than the decoder recurses
+            HUGE_B_SPEC.replace("9" * 400, "9" * 5000),  # past int digit limit
+        ],
+        ids=["deep-nesting", "5000-digit-integer"],
+    )
+    def test_json_beyond_decoder_limits(self, text, tmp_path, capsys):
+        spec = tmp_path / "limits.json"
+        spec.write_text(text)
+        assert cli.main(["validate", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         rc = cli.main(["validate", str(DATA / "nope.json")])
         assert rc == 1
@@ -292,6 +307,25 @@ class TestStatsCommand:
         doubled = capsys.readouterr().out
         cli.main(["stats", str(DATA / "twotri.json")])
         assert doubled == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            dict(kind="piecewise_linear", breakpoints=[0, 1],
+                 right_limits=[1e-320], left_limits=[1e-320]),
+            dict(kind="polygonal", breakpoints=[0, 1, 2],
+                 heights=[0, 1e-320, 0]),
+        ],
+        ids=["step", "polygon"],
+    )
+    def test_autonormalize_refuses_a_tiny_mass(self, payload, tmp_path,
+                                               capsys):
+        spec = tmp_path / "tiny.json"
+        spec.write_text(_spec(**payload))
+        assert cli.main(["stats", str(spec), "--autonormalize"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot normalize mass 1e-320: 1/mass overflows\n"
+        )
 
     def test_exact_round_trips(self, capsys):
         rc = cli.main(["stats", str(DATA / "tri03.json"), "--exact"])
@@ -720,6 +754,14 @@ class TestFitCommand:
         rc = cli.main(["fit", str(curve)])
         assert rc == 1
         assert capsys.readouterr().err == "error: line 2: non-numeric value\n"
+
+    def test_field_beyond_the_csv_size_limit(self, tmp_path, capsys):
+        curve = tmp_path / "long.csv"
+        curve.write_text("x,y\n0," + "1" * 131073 + "\n1,0\n")
+        assert cli.main(["fit", str(curve)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: field larger than field limit (131072)\n"
+        )
 
     def test_csv_that_is_not_utf8(self, tmp_path, capsys):
         curve = tmp_path / "utf16.csv"

@@ -127,6 +127,26 @@ def test_normalize_zero_mass_raises():
         pw.normalize(d)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        pw.validate([0, 1], [1e-320], [1e-320]),
+        pw.promote(pw.PolygonalDensity(pw.Grid([0, 1, 2]), [0, 1e-320, 0])),
+    ],
+    ids=["step", "polygon"],
+)
+def test_normalize_refuses_a_mass_whose_reciprocal_overflows(d):
+    with pytest.raises(pw.ZeroMassError, match="1e-320: 1/mass overflows"):
+        pw.normalize(d)
+
+
+def test_normalize_refuses_an_infinite_mass():
+    with np.errstate(over="ignore"):  # the mass itself overflows
+        d = pw.validate([0, 1, 2, 3], [0, 1e308, 1e308], [1e308, 1e308, 0])
+        with pytest.raises(pw.ZeroMassError, match="mass overflows to inf"):
+            pw.normalize(d)
+
+
 def test_normalize_scales_point_values():
     d = pw.validate([0, 1], [1.5], [1.5], [0.0, 3.0])
     scaled, _ = pw.normalize(d)
